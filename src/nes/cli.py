@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .alpha import aeq, canonicalize, render_canonical
-from .atoms import Atom, parse_atom
+from .atoms import parse_atom
 from .msubst import msubst
 from .parser import ParseError, eval_meta, parse
 from .properties import (
@@ -37,10 +37,6 @@ def _term_arg(text: str) -> Term:
     return eval_meta(parse(_read_arg(text)))
 
 
-def _atom_arg(text: str) -> Atom:
-    return parse_atom(text)
-
-
 def _cmd_parse(args: argparse.Namespace) -> int:
     print(render(_term_arg(args.expr)))
     return 0
@@ -54,14 +50,14 @@ def _cmd_fv(args: argparse.Namespace) -> int:
 
 def _cmd_swap(args: argparse.Namespace) -> int:
     t = _term_arg(args.expr)
-    print(render(swap(_atom_arg(args.x), _atom_arg(args.y), t)))
+    print(render(swap(parse_atom(args.x), parse_atom(args.y), t)))
     return 0
 
 
 def _cmd_subst(args: argparse.Namespace) -> int:
     u = _term_arg(args.replacement)
     t = _term_arg(args.target)
-    print(render(msubst(t, u, _atom_arg(args.x))))
+    print(render(msubst(t, u, parse_atom(args.x))))
     return 0
 
 
@@ -97,7 +93,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    pool = tuple(_atom_arg(part.strip()) for part in args.pool.split(","))
+    pool = tuple(parse_atom(part.strip()) for part in args.pool.split(","))
     config = GenConfig(
         max_size=args.max_size, atom_pool=pool, seed=args.seed, cases=args.cases
     )

@@ -39,17 +39,6 @@ DEFAULT_POOL: tuple[Atom, ...] = (
 _M64 = (1 << 64) - 1
 
 
-def _mix(a: int, b: int) -> int:
-    # splitmix64 finalizer over a simple combine; keeps streams independent
-    # without relying on salted hashing.
-    x = (a * 0x9E3779B97F4A7C15 + b) & _M64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _M64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _M64
-    return x ^ (x >> 31)
-
-
 class _Stream:
     """Deterministic 64-bit random stream (splitmix-style counter).
 
@@ -78,6 +67,12 @@ class _Stream:
 
     def coin(self) -> bool:
         return bool(self.next64() & 1)
+
+
+def _mix(a: int, b: int) -> int:
+    # splitmix64 over the combine a * golden + b (next64 adds the golden
+    # step first); keeps streams independent without salted hashing
+    return _Stream((a * 0x9E3779B97F4A7C15 + b - 0x9E3779B97F4A7C15) & _M64).next64()
 
 
 @dataclass(frozen=True)
@@ -271,102 +266,50 @@ class _Prop:
     pre: Callable[..., bool] | None = None
 
 
-def _d_vswap_id(d: _Draw) -> dict:
-    return {"x": d.atom(), "y": d.atom()}
+# Signature kinds: each draws one input of a case from ``d`` and the earlier
+# input ``s`` its step names (None when it names none).  The helpers look
+# up the library's names at call time, so tracing wrappers still see them.
+_KINDS: dict[str, Callable[[_Draw, object], object]] = {
+    "atom": lambda d, s: d.atom(),
+    "term": lambda d, s: d.term(),
+    "distinct": lambda d, s: _distinct_from(s, d.atom()),
+    "swap_out": lambda d, s: _swap_out(d.term(), s),
+    "variant": _alpha_variant,
+    "variant_or_fresh": _variant_or_fresh,
+    "not_free": _not_free,
+}
 
 
-def _d_atom_term(d: _Draw) -> dict:
-    return {"x": d.atom(), "t": d.term()}
+def _sig(*steps: str, keys: str = "") -> Callable[[_Draw], dict]:
+    """The drawer of a signature.  Each step ``"name kind [source]"`` draws
+    one input, in step order, by ``_KINDS[kind]`` from the earlier input
+    named ``source``.  Terms and atoms come from independent streams, so
+    only the order within each stream fixes what a seed draws.  ``keys``
+    orders the result (the counterexample's order) where the draw order
+    differs from it."""
+    plan = [
+        (name, _KINDS[kind], source[0] if source else None)
+        for name, kind, *source in map(str.split, steps)
+    ]
+    order = keys.split()
+
+    def draw(d: _Draw) -> dict:
+        got: dict = {}
+        for name, kind, source in plan:
+            got[name] = kind(d, got.get(source))
+        return {k: got[k] for k in order} if order else got
+
+    return draw
 
 
-def _d_swap_neq(d: _Draw) -> dict:
-    x, y, z = d.atom(), d.atom(), d.atom()
-    w = _distinct_from(z, d.atom())
-    return {"x": x, "y": y, "z": z, "w": w}
-
-
-def _d_two_atoms_term(d: _Draw) -> dict:
-    return {"x": d.atom(), "y": d.atom(), "t": d.term()}
-
-
-def _d_shuffle_swap(d: _Draw) -> dict:
-    z = d.atom()
-    w = _distinct_from(z, d.atom())
-    y = _distinct_from(z, d.atom())
-    return {"w": w, "y": y, "z": z, "t": d.term()}
-
-
-def _d_four_atoms_term(d: _Draw) -> dict:
-    return {"x": d.atom(), "y": d.atom(), "z": d.atom(), "w": d.atom(), "t": d.term()}
-
-
-def _d_fv_nom_swap(d: _Draw) -> dict:
-    z, y = d.atom(), d.atom()
-    return {"z": z, "y": y, "t": _swap_out(d.term(), z)}
-
-
-def _d_notin_equivariance(d: _Draw) -> dict:
-    xp, x, y = d.atom(), d.atom(), d.atom()
-    return {"t": _swap_out(d.term(), xp), "xp": xp, "x": x, "y": y}
+# Drawers no signature expresses: a repair made inside a swapped term, and
+# atoms that avoid the free atoms of a term built from several inputs.
 
 
 def _d_notin_remove_swap(d: _Draw) -> dict:
     xp, x, y = d.atom(), d.atom(), d.atom()
     swapped = _swap_out(swap(x, y, d.term()), vswap(x, y, xp))
     return {"t": swap(x, y, swapped), "xp": xp, "x": x, "y": y}
-
-
-def _d_term(d: _Draw) -> dict:
-    return {"t": d.term()}
-
-
-def _d_pair(d: _Draw) -> dict:
-    t1 = d.term()
-    return {"t1": t1, "t2": _variant_or_fresh(d, t1)}
-
-
-def _d_variant_pair(d: _Draw) -> dict:
-    t1 = d.term()
-    return {"t1": t1, "t2": _alpha_variant(d, t1)}
-
-
-def _d_trans(d: _Draw) -> dict:
-    t1 = d.term()
-    t2 = _alpha_variant(d, t1)
-    return {"t1": t1, "t2": t2, "t3": _alpha_variant(d, t2)}
-
-
-def _d_pair_two_atoms(d: _Draw) -> dict:
-    t1 = d.term()
-    return {
-        "t1": t1,
-        "t2": _variant_or_fresh(d, t1),
-        "x": d.atom(),
-        "y": d.atom(),
-    }
-
-
-def _d_swap_reduction(d: _Draw) -> dict:
-    t = d.term()
-    return {"t": t, "x": _not_free(d, t), "y": _not_free(d, t)}
-
-
-def _d_aeq_swap_swap(d: _Draw) -> dict:
-    t = d.term()
-    return {"t": t, "x": _not_free(d, t), "y": d.atom(), "z": _not_free(d, t)}
-
-
-def _d_m_subst_notin(d: _Draw) -> dict:
-    x = d.atom()
-    return {"t": _swap_out(d.term(), x), "u": d.term(), "x": x}
-
-
-def _d_term_term_atom(d: _Draw) -> dict:
-    return {"t": d.term(), "u": d.term(), "x": d.atom()}
-
-
-def _d_sub_eq(d: _Draw) -> dict:
-    return {"t1": d.term(), "t2": d.term(), "u": d.term(), "x": d.atom()}
 
 
 def _d_abs_neq(d: _Draw) -> dict:
@@ -383,87 +326,49 @@ def _d_sub_neq(d: _Draw) -> dict:
     return {"t1": t1, "t2": t2, "u": u, "x": x, "y": y, "z": z}
 
 
-def _d_subst_in(d: _Draw) -> dict:
-    u = d.term()
-    return {"t": d.term(), "u": u, "up": _alpha_variant(d, u), "x": d.atom()}
-
-
-def _d_subst_out(d: _Draw) -> dict:
-    t = d.term()
-    return {"t": t, "tp": _alpha_variant(d, t), "u": d.term(), "x": d.atom()}
-
-
-def _d_subst_eq(d: _Draw) -> dict:
-    t, u = d.term(), d.term()
-    return {
-        "t": t,
-        "tp": _alpha_variant(d, t),
-        "u": u,
-        "up": _alpha_variant(d, u),
-        "x": d.atom(),
-    }
-
-
-def _d_swap_subst(d: _Draw) -> dict:
-    return {
-        "x": d.atom(),
-        "y": d.atom(),
-        "z": d.atom(),
-        "t": d.term(),
-        "u": d.term(),
-    }
-
-
-def _d_subst_lemma(d: _Draw) -> dict:
-    t1, t2, t3 = d.term(), d.term(), d.term()
-    x = d.atom()
-    y = _distinct_from(x, d.atom())
-    return {"t1": t1, "t2": t2, "t3": _swap_out(t3, x), "x": x, "y": y}
-
-
 _CATALOGUE: dict[str, _Prop] = {
     "vswap_id": _Prop(
-        _d_vswap_id,
+        _sig("x atom", "y atom"),
         lambda x, y: vswap(x, x, y) == y,
     ),
     "swap_id": _Prop(
-        _d_atom_term,
+        _sig("x atom", "t term"),
         lambda x, t: swap(x, x, t) == t,
     ),
     "swap_neq": _Prop(
-        _d_swap_neq,
+        _sig("x atom", "y atom", "z atom", "w distinct z"),
         lambda x, y, z, w: vswap(x, y, z) != vswap(x, y, w),
         pre=lambda x, y, z, w: z != w,
     ),
     "swap_size_eq": _Prop(
-        _d_two_atoms_term,
+        _sig("x atom", "y atom", "t term"),
         lambda x, y, t: size(swap(x, y, t)) == size(t),
     ),
     "swap_symmetric": _Prop(
-        _d_two_atoms_term,
+        _sig("x atom", "y atom", "t term"),
         lambda x, y, t: swap(x, y, t) == swap(y, x, t),
     ),
     "swap_involutive": _Prop(
-        _d_two_atoms_term,
+        _sig("x atom", "y atom", "t term"),
         lambda x, y, t: swap(x, y, swap(x, y, t)) == t,
     ),
     "shuffle_swap": _Prop(
-        _d_shuffle_swap,
+        _sig("z atom", "w distinct z", "y distinct z", "t term", keys="w y z t"),
         lambda w, y, z, t: swap(w, y, swap(y, z, t)) == swap(w, z, swap(w, y, t)),
         pre=lambda w, y, z, t: w != z and y != z,
     ),
     "swap_equivariance": _Prop(
-        _d_four_atoms_term,
+        _sig("x atom", "y atom", "z atom", "w atom", "t term"),
         lambda x, y, z, w, t: swap(x, y, swap(z, w, t))
         == swap(vswap(x, y, z), vswap(x, y, w), swap(x, y, t)),
     ),
     "fv_nom_swap": _Prop(
-        _d_fv_nom_swap,
+        _sig("z atom", "y atom", "t swap_out z"),
         lambda z, y, t: y not in fv_nom(swap(y, z, t)),
         pre=lambda z, y, t: z not in fv_nom(t),
     ),
     "notin_fv_nom_equivariance": _Prop(
-        _d_notin_equivariance,
+        _sig("xp atom", "x atom", "y atom", "t swap_out xp", keys="t xp x y"),
         lambda t, xp, x, y: vswap(x, y, xp) not in fv_nom(swap(x, y, t)),
         pre=lambda t, xp, x, y: xp not in fv_nom(t),
     ),
@@ -473,57 +378,57 @@ _CATALOGUE: dict[str, _Prop] = {
         pre=lambda t, xp, x, y: vswap(x, y, xp) not in fv_nom(swap(x, y, t)),
     ),
     "aeq_refl": _Prop(
-        _d_term,
+        _sig("t term"),
         lambda t: aeq(t, t),
     ),
     "aeq_sym": _Prop(
-        _d_pair,
+        _sig("t1 term", "t2 variant_or_fresh t1"),
         lambda t1, t2: aeq(t1, t2) == aeq(t2, t1),
     ),
     "aeq_trans": _Prop(
-        _d_trans,
+        _sig("t1 term", "t2 variant t1", "t3 variant t2"),
         lambda t1, t2, t3: aeq(t1, t3),
         pre=lambda t1, t2, t3: aeq(t1, t2) and aeq(t2, t3),
     ),
     "aeq_size": _Prop(
-        _d_variant_pair,
+        _sig("t1 term", "t2 variant t1"),
         lambda t1, t2: size(t1) == size(t2),
         pre=lambda t1, t2: aeq(t1, t2),
     ),
     "aeq_fv_nom": _Prop(
-        _d_variant_pair,
+        _sig("t1 term", "t2 variant t1"),
         lambda t1, t2: fv_nom(t1) == fv_nom(t2),
         pre=lambda t1, t2: aeq(t1, t2),
     ),
     "aeq_swap": _Prop(
-        _d_pair_two_atoms,
+        _sig("t1 term", "t2 variant_or_fresh t1", "x atom", "y atom"),
         lambda t1, t2, x, y: aeq(t1, t2) == aeq(swap(x, y, t1), swap(x, y, t2)),
     ),
     "swap_reduction": _Prop(
-        _d_swap_reduction,
+        _sig("t term", "x not_free t", "y not_free t"),
         lambda t, x, y: aeq(swap(x, y, t), t),
         pre=lambda t, x, y: x not in fv_nom(t) and y not in fv_nom(t),
     ),
     "aeq_swap_swap": _Prop(
-        _d_aeq_swap_swap,
+        _sig("t term", "x not_free t", "y atom", "z not_free t"),
         lambda t, x, y, z: aeq(swap(z, x, swap(x, y, t)), swap(z, y, t)),
         pre=lambda t, x, y, z: z not in fv_nom(t) and x not in fv_nom(t),
     ),
     "aeq_oracle": _Prop(
-        _d_pair,
+        _sig("t1 term", "t2 variant_or_fresh t1"),
         lambda t1, t2: aeq(t1, t2) == (canonicalize(t1) == canonicalize(t2)),
     ),
     "m_subst_notin": _Prop(
-        _d_m_subst_notin,
+        _sig("x atom", "t swap_out x", "u term", keys="t u x"),
         lambda t, u, x: aeq(msubst(t, u, x), t),
         pre=lambda t, u, x: x not in fv_nom(t),
     ),
     "m_subst_abs_eq": _Prop(
-        _d_term_term_atom,
+        _sig("t term", "u term", "x atom"),
         lambda t, u, x: msubst(Abs(x, t), u, x) == Abs(x, t),
     ),
     "m_subst_sub_eq": _Prop(
-        _d_sub_eq,
+        _sig("t1 term", "t2 term", "u term", "x atom"),
         lambda t1, t2, u, x: msubst(ESub(t1, x, t2), u, x)
         == ESub(t1, x, msubst(t2, u, x)),
     ),
@@ -545,29 +450,32 @@ _CATALOGUE: dict[str, _Prop] = {
         and z not in fv_nom(u) | fv_nom(ESub(t1, y, t2)) | AtomSet((x,)),
     ),
     "aeq_m_subst_in": _Prop(
-        _d_subst_in,
+        _sig("u term", "t term", "up variant u", "x atom", keys="t u up x"),
         lambda t, u, up, x: aeq(msubst(t, u, x), msubst(t, up, x)),
         pre=lambda t, u, up, x: aeq(u, up),
     ),
     "aeq_m_subst_out": _Prop(
-        _d_subst_out,
+        _sig("t term", "tp variant t", "u term", "x atom"),
         lambda t, tp, u, x: aeq(msubst(t, u, x), msubst(tp, u, x)),
         pre=lambda t, tp, u, x: aeq(t, tp),
     ),
     "aeq_m_subst_eq": _Prop(
-        _d_subst_eq,
+        _sig("t term", "tp variant t", "u term", "up variant u", "x atom"),
         lambda t, tp, u, up, x: aeq(msubst(t, u, x), msubst(tp, up, x)),
         pre=lambda t, tp, u, up, x: aeq(t, tp) and aeq(u, up),
     ),
     "swap_subst_rec_fun": _Prop(
-        _d_swap_subst,
+        _sig("x atom", "y atom", "z atom", "t term", "u term"),
         lambda x, y, z, t, u: aeq(
             swap(x, y, msubst(t, u, z)),
             msubst(swap(x, y, t), swap(x, y, u), vswap(x, y, z)),
         ),
     ),
     "m_subst_lemma": _Prop(
-        _d_subst_lemma,
+        _sig(
+            "t1 term", "t2 term", "x atom", "t3 swap_out x", "y distinct x",
+            keys="t1 t2 t3 x y",
+        ),
         lambda t1, t2, t3, x, y: aeq(
             msubst(msubst(t1, t2, x), t3, y),
             msubst(msubst(t1, t3, y), msubst(t2, t3, y), x),
@@ -575,7 +483,7 @@ _CATALOGUE: dict[str, _Prop] = {
         pre=lambda t1, t2, t3, x, y: x != y and x not in fv_nom(t3),
     ),
     "parse_roundtrip": _Prop(
-        _d_term,
+        _sig("t term"),
         lambda t: parse(render(t)) == Lit(t),
     ),
 }

@@ -1,3 +1,8 @@
+import pytest
+
+import nes.cli as cli
+import nes.properties as properties
+from nes import App
 from nes.cli import main
 
 
@@ -121,3 +126,35 @@ def test_check_byte_identical_across_runs(capsys):
     _, first, _ = run(capsys, *flags)
     _, second, _ = run(capsys, *flags)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        (
+            "text",
+            "FAIL every_term_is_app_free     cases=50 failures=13 seed=0\n"
+            "     counterexample:\n"
+            "       t = y x\n",
+        ),
+        (
+            "tsv",
+            "every_term_is_app_free\t50\t13\t0\n"
+            "# counterexample:\n"
+            "#   t = y x\n",
+        ),
+    ],
+)
+def test_check_failing_law_report(capsys, monkeypatch, fmt, expected):
+    # a deliberately false statement, listed so that --lemma accepts it
+    name = "every_term_is_app_free"
+    prop = properties._Prop(
+        draw=lambda d: {"t": d.term()},
+        body=lambda t: not isinstance(t, App),
+    )
+    monkeypatch.setitem(properties._CATALOGUE, name, prop)
+    monkeypatch.setattr(cli, "PROPERTY_NAMES", cli.PROPERTY_NAMES + (name,))
+    code, out, err = run(
+        capsys, "check", "--lemma", name, "--cases", "50", "--format", fmt
+    )
+    assert (code, out, err) == (1, expected, "")

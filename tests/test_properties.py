@@ -1,3 +1,6 @@
+import hashlib
+import zlib
+
 import pytest
 
 from nes import (
@@ -12,6 +15,7 @@ from nes import (
     all_atoms,
     enumerate_terms,
     gen_term,
+    render,
     run_property,
     size,
 )
@@ -84,6 +88,36 @@ def test_gen_term_expected_size_tracks_max_size():
     sizes = [size(gen_term(cfg, pos)) for pos in range(2000)]
     mean = sum(sizes) / len(sizes)
     assert 7 <= mean <= 20
+
+
+@pytest.mark.parametrize(
+    "pool, expected",
+    [
+        (
+            properties.DEFAULT_POOL,
+            "7582347de3d9d81b7708fe7db25bdb53f35185adc5381ebf2eda54c67e46361d",
+        ),
+        ((x,), "03a6213323e4aeab77ad38c7f9482539bc1f9b3b7ad1043e00648f76a0a55c01"),
+        (
+            (Atom("a", 0), Atom("a")),
+            "cf4475f6e464397f75d74dd3405e345e6179c3dc4083ece9303ea1443317aecd",
+        ),
+    ],
+)
+def test_drawn_inputs_are_pinned(pool, expected):
+    # A seed must keep its meaning across code changes: every law's first
+    # 200 drawn input dicts (names, key order, rendered values) hash to a
+    # fixed digest.
+    cfg = GenConfig(atom_pool=pool)
+    h = hashlib.sha256()
+    for name in PROPERTY_NAMES:
+        prop = properties._CATALOGUE[name]
+        digest = zlib.crc32(name.encode())
+        for case in range(200):
+            for key, value in prop.draw(properties._Draw(cfg, digest, case)).items():
+                shown = str(value) if isinstance(value, Atom) else render(value)
+                h.update(f"{name}\t{key}\t{shown}\n".encode())
+    assert h.hexdigest() == expected
 
 
 def test_run_property_trivial_case():
