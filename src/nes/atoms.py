@@ -10,44 +10,44 @@ from typing import Iterable, Iterator
 _BASE_RE = re.compile(r"[A-Za-z](?:[A-Za-z0-9]*[A-Za-z])?")
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
+# Every atom ever built, keyed by (base, index).  Only valid atoms enter.
+_INTERNED: dict[tuple[str, int | None], Atom] = {}
+
 
 class Atom:
     """A variable name: a base identifier plus an optional numeric index.
 
     ``Atom("x")`` and ``Atom("x", 0)`` are distinct atoms; the latter
-    displays as ``x0``.  Immutable; equality is structural on
-    (base, index).  Comparison and hashing sit on the hot path of every
-    term traversal, so both are hand-rolled.
+    displays as ``x0``.  Atoms are interned: there is exactly one object
+    per (base, index), so ``Atom("x") is Atom("x")`` and equality and
+    hashing are object identity.  Immutable; copying or unpickling an
+    atom returns that same object.
     """
 
-    __slots__ = ("base", "index", "_hash")
+    __slots__ = ("base", "index")
 
     base: str
     index: int | None
 
-    def __init__(self, base: str, index: int | None = None):
-        if not _BASE_RE.fullmatch(base):
-            raise ValueError(f"bad atom base: {base!r}")
-        if index is not None and index < 0:
-            raise ValueError(f"negative atom index: {index}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_hash", hash((base, index)))
+    def __new__(cls, base: str, index: int | None = None) -> "Atom":
+        # Checked before the lookup: 1.0 and True are equal to 1 as keys.
+        if index is not None and (type(index) is not int or index < 0):
+            raise ValueError(f"bad atom index: {index!r}")
+        atom = _INTERNED.get((base, index))
+        if atom is None:
+            if not _BASE_RE.fullmatch(base):
+                raise ValueError(f"bad atom base: {base!r}")
+            atom = object.__new__(cls)
+            object.__setattr__(atom, "base", base)
+            object.__setattr__(atom, "index", index)
+            atom = _INTERNED.setdefault((base, index), atom)
+        return atom
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("atoms are immutable")
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is Atom
-            and self.index == other.index
-            and self.base == other.base
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self) -> tuple:
+        return (Atom, (self.base, self.index))
 
     def sort_key(self) -> tuple[str, int]:
         # Total order: lexicographic on base, then index with "absent" first.

@@ -3,9 +3,10 @@
 Expression arguments are literal text, or ``@FILE`` to read the text from a
 file.  Results go to stdout, diagnostics to stderr.  Exit status: 0 on
 success (for ``aeq``: the terms are equivalent; for ``check``: no law
-failed), 1 for a false ``aeq`` or a failed law, 2 for bad input.  Output is
-plain text; NES_COLOR=0 is accepted for compatibility but no styling is
-emitted either way.
+failed), 1 for a false ``aeq`` or a failed law, 2 for bad input (including a
+term nested too deeply for the recursive core).  Output is plain text;
+NES_COLOR=0 is accepted for compatibility but no styling is emitted either
+way.
 """
 
 from __future__ import annotations
@@ -175,6 +176,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, OSError) as err:
         print(str(err), file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("term nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -567,60 +567,47 @@ def _shrink_moves(t: Term) -> Iterable[Term]:
                 yield ESub(body, x, a)
 
 
-def _shrink(inputs: dict, prop: _Prop, pool: Sequence[Atom]) -> dict:
-    """Greedy shrink to a fixpoint: subterm replacement on term inputs,
-    then renaming stray atoms down to unused pool atoms (applied to every
-    input at once so relationships between them survive).  Candidates must
-    still satisfy the hypothesis and still fail."""
-
-    def still_fails(candidate: dict) -> bool:
-        if prop.pre is not None and not prop.pre(**candidate):
-            return False
-        return not _holds(prop, candidate)
-
-    changed = True
-    while changed:
-        changed = False
-        for key, value in inputs.items():
-            if isinstance(value, Atom):
-                continue
+def _smaller(inputs: dict, pool: Sequence[Atom]) -> Iterable[dict]:
+    """Shrink candidates for ``inputs``, preferred first: one subterm
+    replacement in one term input, then renaming a stray atom down to an
+    unused pool atom (applied to every input at once so relationships
+    between them survive)."""
+    for key, value in inputs.items():
+        if not isinstance(value, Atom):
             for smaller in _shrink_moves(value):
-                candidate = dict(inputs)
-                candidate[key] = smaller
-                if still_fails(candidate):
-                    inputs = candidate
-                    changed = True
-                    break
-            if changed:
-                break
-        if changed:
-            continue
-        occurring: set[Atom] = set()
-        for value in inputs.values():
-            if isinstance(value, Atom):
-                occurring.add(value)
-            else:
-                occurring.update(all_atoms(value))
-        # Preference position: earlier pool atoms are "smaller"; anything
-        # outside the pool reduces to any unused pool atom.
-        position = {a: i for i, a in enumerate(pool)}.get
-        fallback = len(pool)
-        for a in sorted(
-            occurring,
-            key=lambda a: (position(a, fallback), a.sort_key()),
-            reverse=True,
-        ):
-            for i, b in enumerate(pool):
-                if i >= position(a, fallback) or b in occurring:
-                    continue
-                candidate = {
+                yield {**inputs, key: smaller}
+    occurring: set[Atom] = set()
+    for value in inputs.values():
+        if isinstance(value, Atom):
+            occurring.add(value)
+        else:
+            occurring.update(all_atoms(value))
+    # Preference position: earlier pool atoms are "smaller"; anything
+    # outside the pool reduces to any unused pool atom.
+    position = {a: i for i, a in enumerate(pool)}.get
+    fallback = len(pool)
+    for a in sorted(
+        occurring,
+        key=lambda a: (position(a, fallback), a.sort_key()),
+        reverse=True,
+    ):
+        for b in pool[: position(a, fallback)]:
+            if b not in occurring:
+                yield {
                     k: (vswap(a, b, v) if isinstance(v, Atom) else swap(a, b, v))
                     for k, v in inputs.items()
                 }
-                if still_fails(candidate):
-                    inputs = candidate
-                    changed = True
-                    break
-            if changed:
+
+
+def _shrink(inputs: dict, prop: _Prop, pool: Sequence[Atom]) -> dict:
+    """Greedy shrink to a fixpoint: move to the first candidate of
+    ``_smaller`` that still satisfies the hypothesis and still fails."""
+    while True:
+        for candidate in _smaller(inputs, pool):
+            if prop.pre is not None and not prop.pre(**candidate):
+                continue
+            if not _holds(prop, candidate):
+                inputs = candidate
                 break
-    return inputs
+        else:
+            return inputs

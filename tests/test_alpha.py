@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given
 
@@ -71,6 +75,19 @@ def test_oracle_agreement_exhaustive_small():
     universe = enumerate_terms(3, pool)
     for t1, t2 in itertools.product(universe, repeat=2):
         assert aeq(t1, t2) == (canonicalize(t1) == canonicalize(t2))
+
+
+def test_exhaustive_oracle_script():
+    root = Path(__file__).resolve().parents[1]
+    script = root / "scripts" / "exhaustive_oracle.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--max-size", "3"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "disagreements: 0" in result.stdout
 
 
 @given(terms, terms)

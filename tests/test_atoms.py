@@ -1,8 +1,11 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from nes import Atom, AtomSet, fresh, parse_atom
+from nes import Abs, Atom, AtomSet, ESub, Var, fresh, parse_atom
 from strategies import atoms
 
 x, y = Atom("x"), Atom("y")
@@ -57,6 +60,25 @@ def test_atom_validation():
         Atom("x", -1)
     with pytest.raises(AttributeError):
         x.base = "y"
+    # 1.0 and True equal 1 as dict keys: rejected before validated1 exists
+    # and after
+    for bad in (1.0, True):
+        with pytest.raises(ValueError):
+            Atom("validated", bad)
+    assert str(Atom("validated", 1)) == "validated1"
+    for bad in (1.0, True):
+        with pytest.raises(ValueError):
+            Atom("validated", bad)
+
+
+def test_atoms_are_interned():
+    assert parse_atom("x0") is Atom("x", 0) is fresh(AtomSet([Atom("x")]), Atom("x"))
+    assert Atom("x") is x
+    assert copy.copy(x0) is x0
+    assert copy.deepcopy(x0) is x0
+    assert pickle.loads(pickle.dumps(x0)) is x0
+    t = ESub(Abs(x, Var(x0)), y, Var(x1))
+    assert copy.deepcopy(t) == t
 
 
 def test_parse_atom_rejects_non_identifiers():

@@ -80,6 +80,14 @@ def test_missing_file_is_status_2(capsys, tmp_path):
     assert err != ""
 
 
+def test_deep_term_is_status_2_without_traceback(capsys, tmp_path):
+    path = tmp_path / "deep.nes"
+    path.write_text("\\x. " * 10_000 + "x\n", encoding="utf-8")
+    code, out, err = run(capsys, "parse", f"@{path}")
+    assert (code, out) == (2, "")
+    assert err == "term nested too deeply\n"
+
+
 def test_bad_atom_argument_is_status_2(capsys):
     code, _, err = run(capsys, "swap", "not an atom", "y", "x")
     assert code == 2
