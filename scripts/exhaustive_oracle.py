@@ -17,10 +17,17 @@ from nes import Atom, aeq, canonicalize, enumerate_terms, render, size
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-size", type=int, default=4)
-    ap.add_argument("--atoms", type=int, default=2, help="pool size (x, y, ...)")
+    ap.add_argument("--atoms", type=int, default=2, help="pool size (x, y, ...), 1 to 5")
     args = ap.parse_args()
+    # a run over no terms, or over fewer atoms than asked for, would
+    # report agreement without checking what was asked
+    bases = "xyzwv"
+    if not 1 <= args.atoms <= len(bases):
+        ap.error(f"--atoms must be between 1 and {len(bases)}")
+    if args.max_size < 1:
+        ap.error("--max-size must be at least 1")
 
-    pool = tuple(Atom(b) for b in "xyzwv"[: args.atoms])
+    pool = tuple(Atom(b) for b in bases[: args.atoms])
     universe = enumerate_terms(args.max_size, pool)
     by_size = {}
     for t in universe:

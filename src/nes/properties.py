@@ -11,7 +11,7 @@ so a broken repair fails loudly instead of weakening the law.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .alpha import aeq, canonicalize
@@ -37,6 +37,17 @@ DEFAULT_POOL: tuple[Atom, ...] = (
 )
 
 _M64 = (1 << 64) - 1
+
+# Node budget of a config's term memo.  A stored term holds at most
+# max_size nodes, and its dict slot, key and share of the dict's spare room
+# cost about _ENTRY_NODES nodes more.  The default ``nes check`` reads 4 term
+# slots per case over 10 000 cases at max size 20:
+# 4 * 10_000 * (20 + _ENTRY_NODES) = 1 000 000 nodes.  Positions below
+# _MEMO_NODES // (max_size + _ENTRY_NODES) are memoised, which covers that
+# run completely and keeps the memo under one ceiling (25-30 MB) for any
+# --cases or --max-size.
+_ENTRY_NODES = 5
+_MEMO_NODES = 4 * 10_000 * (20 + _ENTRY_NODES)
 
 
 class _Stream:
@@ -77,12 +88,18 @@ def _mix(a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Parameters for term generation and law checking."""
+    """Parameters for term generation and law checking.
+
+    A config memoises the terms ``gen_term`` draws from it, below a node
+    budget, so every law checked on one config object shares one
+    generation; the memo takes no part in ``==``, ``hash`` or ``repr``, and
+    ``dataclasses.replace`` starts a new, empty one."""
 
     max_size: int = 20
     atom_pool: tuple[Atom, ...] = DEFAULT_POOL
     seed: int = 0
     cases: int = 10_000
+    _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atom_pool", tuple(self.atom_pool))
@@ -124,9 +141,19 @@ class UnknownPropertyError(ValueError):
 
 def gen_term(config: GenConfig, position: int) -> Term:
     """Deterministic random term: size at most ``config.max_size``, atoms
-    drawn uniformly from the pool (small pools force binder collisions)."""
-    rng = _Stream(_mix(config.seed, position))
-    return _gen(rng, config.max_size, config.atom_pool)
+    drawn uniformly from the pool (small pools force binder collisions).
+
+    Each term is computed once per config object and then returned from
+    its memo, for positions below a fixed node budget (``_MEMO_NODES``,
+    counting each term as ``max_size`` nodes plus its entry's overhead);
+    later positions are generated afresh."""
+    terms = config._terms
+    t = terms.get(position)
+    if t is None:
+        t = _gen(_Stream(_mix(config.seed, position)), config.max_size, config.atom_pool)
+        if 0 <= position < _MEMO_NODES // (config.max_size + _ENTRY_NODES):
+            terms[position] = t
+    return t
 
 
 def _gen(rng: _Stream, budget: int, pool: Sequence[Atom]) -> Term:
@@ -153,6 +180,8 @@ def _gen(rng: _Stream, budget: int, pool: Sequence[Atom]) -> Term:
 def enumerate_terms(max_size: int, pool: Sequence[Atom]) -> list[Term]:
     """Every term of size at most ``max_size`` over ``pool``, smallest
     first.  Intended for exhaustive cross-checks at small sizes."""
+    if max_size < 1:
+        return []
     pool = tuple(pool)
     by_size: list[list[Term]] = [[], [Var(a) for a in pool]]
     for n in range(2, max_size + 1):
@@ -214,29 +243,47 @@ def _swap_out(t: Term, a: Atom) -> Term:
     return swap(a, c, t)
 
 
-def _not_free(d: _Draw, t: Term) -> Atom:
+def _not_free(
+    d: _Draw,
+    t: Term,
+    free: AtomSet | None = None,
+    atoms: AtomSet | set[Atom] | None = None,
+) -> Atom:
     """An atom that is not free in ``t``: one of the pool or bound atoms
-    when possible, otherwise a fresh one."""
-    free = fv_nom(t)
+    when possible, otherwise a fresh one.  ``free`` and ``atoms``, when
+    given, are ``t``'s free and occurring atoms."""
+    if free is None:
+        free = fv_nom(t)
+    if atoms is None:
+        atoms = all_atoms(t)
     candidates = [a for a in d.config.atom_pool if a not in free]
+    # ``atoms`` may be an unordered set; sorting keeps what a seed draws
     candidates.extend(
-        a for a in all_atoms(t) if a not in free and a not in candidates
+        sorted(
+            (a for a in atoms if a not in free and a not in candidates),
+            key=Atom.sort_key,
+        )
     )
     if candidates:
         return d.rng.choice(candidates)
-    return fresh(all_atoms(t), d.config.atom_pool[0])
+    return fresh(atoms, d.config.atom_pool[0])
 
 
 def _alpha_variant(d: _Draw, t: Term) -> Term:
     """Rename bound atoms of ``t`` by swapping atoms that are not free in
     it; the result is always alpha-equivalent to ``t``."""
+    # Neither swapped atom is free in t, so its free atoms stay the same
+    # and its occurring atoms map through the swap.
+    free = fv_nom(t)
+    atoms = set(all_atoms(t))
     for _ in range(1 + d.rng.below(3)):
-        x = _not_free(d, t)
+        x = _not_free(d, t, free, atoms)
         if d.rng.coin():
-            y = fresh(all_atoms(t) | AtomSet((x,)), x)
+            y = fresh(atoms | {x}, x)
         else:
-            y = _not_free(d, t)
+            y = _not_free(d, t, free, atoms)
         t = swap(x, y, t)
+        atoms = {vswap(x, y, a) for a in atoms}
     return t
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 
 from nes import (
@@ -88,6 +89,23 @@ def test_exhaustive_oracle_script():
     )
     assert result.returncode == 0, result.stderr
     assert "disagreements: 0" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "args", [["--atoms", "0"], ["--atoms", "6"], ["--atoms", "7"], ["--max-size", "0"]]
+)
+def test_exhaustive_oracle_script_rejects_empty_runs(args):
+    root = Path(__file__).resolve().parents[1]
+    script = root / "scripts" / "exhaustive_oracle.py"
+    result = subprocess.run(
+        [sys.executable, str(script), *args],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert "disagreements" not in result.stdout
+    assert args[0] in result.stderr
 
 
 @given(terms, terms)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import zlib
 
@@ -12,8 +13,10 @@ from nes import (
     PROPERTY_NAMES,
     UnknownPropertyError,
     Var,
+    aeq,
     all_atoms,
     enumerate_terms,
+    fv_nom,
     gen_term,
     render,
     run_property,
@@ -46,6 +49,43 @@ def test_gen_term_is_deterministic():
         assert gen_term(cfg, pos) == gen_term(cfg, pos)
     other = GenConfig(max_size=15, seed=100)
     assert any(gen_term(cfg, p) != gen_term(other, p) for p in range(50))
+
+
+def test_gen_term_memo_returns_the_stored_term():
+    cfg = GenConfig(max_size=15, seed=3)
+    before = (hash(cfg), repr(cfg))
+    first = [gen_term(cfg, pos) for pos in range(100)]
+    assert all(gen_term(cfg, pos) is t for pos, t in enumerate(first))
+    # an equal but distinct config draws equal terms from its own memo
+    twin = GenConfig(max_size=15, seed=3)
+    assert [gen_term(twin, pos) for pos in range(100)] == first
+    # the memo takes no part in ==, hash or repr
+    empty = GenConfig(max_size=15, seed=3)
+    assert cfg == twin == empty
+    assert (hash(cfg), repr(cfg)) == before == (hash(empty), repr(empty))
+
+
+def test_replaced_config_starts_an_empty_memo():
+    cfg = GenConfig(max_size=15, seed=1)
+    for pos in range(50):
+        gen_term(cfg, pos)
+    other = dataclasses.replace(cfg, seed=2)
+    assert other._terms == {}
+    fresh_cfg = GenConfig(max_size=15, seed=2)
+    assert [gen_term(other, p) for p in range(50)] == [
+        gen_term(fresh_cfg, p) for p in range(50)
+    ]
+    assert any(gen_term(other, p) != gen_term(cfg, p) for p in range(50))
+
+
+def test_gen_term_memo_is_bounded():
+    cfg = GenConfig(max_size=10_000)
+    limit = properties._MEMO_NODES // (cfg.max_size + properties._ENTRY_NODES)
+    for pos in range(limit + 20):
+        rng = properties._Stream(properties._mix(cfg.seed, pos))
+        assert gen_term(cfg, pos) == properties._gen(rng, cfg.max_size, cfg.atom_pool)
+        assert len(cfg._terms) <= limit
+    assert len(cfg._terms) == limit
 
 
 def test_gen_term_single_leaf():
@@ -160,6 +200,36 @@ def test_enumerate_terms_counts():
     per_size = [len([t for t in enumerate_terms(n, pool) if size(t) == n]) for n in (1, 2, 3, 4)]
     assert per_size == [2, 4, 20, 88]
     assert len(enumerate_terms(4, pool)) == 114
+
+
+def test_enumerate_terms_below_size_one_is_empty():
+    assert enumerate_terms(0, (x, y)) == []
+    assert enumerate_terms(-3, (x, y)) == []
+
+
+@pytest.mark.parametrize("pool", [properties.DEFAULT_POOL, (x,)])
+def test_alpha_variant_and_not_free_are_sound(monkeypatch, pool):
+    not_free = properties._not_free
+    fallbacks = 0
+
+    def checked(d, t, *known):
+        nonlocal fallbacks
+        a = not_free(d, t, *known)
+        assert a not in fv_nom(t)
+        fallbacks += a not in pool and a not in all_atoms(t)
+        return a
+
+    monkeypatch.setattr(properties, "_not_free", checked)
+    cfg = GenConfig(atom_pool=pool)
+    for case in range(2000):
+        d = properties._Draw(cfg, 0, case)
+        t = d.term()
+        variant = properties._alpha_variant(d, t)
+        assert aeq(variant, t)
+        assert fv_nom(variant) == fv_nom(t)
+        properties._not_free(d, t)
+    if pool == (x,):
+        assert fallbacks > 0
 
 
 @pytest.fixture
