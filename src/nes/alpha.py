@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .atoms import Atom
-from .term import Abs, App, ESub, Term, Var, _fv, swap
+from .term import Abs, App, ESub, Term, Var, free_in
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,31 +85,42 @@ def aeq(t1: Term, t2: Term) -> bool:
     binder forms by direct body comparison when the binders coincide, and
     otherwise by ``x not free in the other body`` plus comparison against the
     swapped body.  For explicit substitutions with distinct binders the
-    arguments are compared first (the cheaper premise).  Every recursive call
-    strictly decreases term size, since swapping preserves it.
+    arguments are compared first (the cheaper premise).
+
+    The swaps on ``t2``'s side are not built: they are suspended in one
+    permutation ``pi`` (and its inverse), composed one transposition per
+    renamed binder and applied as ``t2``'s atoms are read, so each step
+    compares ``t1`` with ``pi . t2``.  The premise ``x not in fv(pi . body)``
+    is asked as ``pi^-1(x) not free in body``.  Every recursive call strictly
+    decreases term size.
     """
-    tp = type(t1)
-    if tp is not type(t2):
-        return False
-    if tp is Var:
-        return t1.atom == t2.atom
-    if tp is App:
-        return aeq(t1.fun, t2.fun) and aeq(t1.arg, t2.arg)
-    if tp is Abs:
-        x, y = t1.binder, t2.binder
-        if x == y:
-            return aeq(t1.body, t2.body)
-        return x not in _fv(t2.body) and aeq(t1.body, swap(y, x, t2.body))
-    if tp is ESub:
-        x, y = t1.binder, t2.binder
-        if x == y:
-            return aeq(t1.body, t2.body) and aeq(t1.arg, t2.arg)
-        return (
-            aeq(t1.arg, t2.arg)
-            and x not in _fv(t2.body)
-            and aeq(t1.body, swap(y, x, t2.body))
-        )
-    raise TypeError(f"not a term: {t1!r}")
+
+    def go(t1: Term, t2: Term, pi: dict[Atom, Atom], inv: dict[Atom, Atom]) -> bool:
+        tp = type(t1)
+        if tp is not type(t2):
+            return False
+        if tp is Var:
+            a = t2.atom
+            return t1.atom is (pi.get(a, a) if pi else a)
+        if tp is App:
+            return go(t1.fun, t2.fun, pi, inv) and go(t1.arg, t2.arg, pi, inv)
+        if tp is not Abs and tp is not ESub:
+            raise TypeError(f"not a term: {t1!r}")
+        x, b = t1.binder, t2.binder
+        y = pi.get(b, b) if pi else b  # the binder of pi . t2
+        if x is y:
+            if tp is Abs:
+                return go(t1.body, t2.body, pi, inv)
+            return go(t1.body, t2.body, pi, inv) and go(t1.arg, t2.arg, pi, inv)
+        if tp is ESub and not go(t1.arg, t2.arg, pi, inv):
+            return False
+        ix = inv.get(x, x)
+        if free_in(ix, t2.body):
+            return False
+        # the bodies compare under (y x) . pi
+        return go(t1.body, t2.body, {**pi, b: x, ix: y}, {**inv, x: b, y: ix})
+
+    return go(t1, t2, {}, {})
 
 
 def render_canonical(c: CanonicalTerm) -> str:

@@ -17,53 +17,70 @@ Fresh names come from :func:`nes.atoms.fresh` with the original binder as
 the hint, so the result is a pure function of the inputs.  The recursion
 terminates because swapping preserves size, so every call strictly
 decreases it.
+
+The equations are computed as written, but the swaps are not built: the
+renamings on the way down are carried as one atom permutation, composed one
+transposition per renamed binder and applied as atoms are read (a subterm
+left alone under ``x``'s own binder is permuted once, in one pass).
 """
 
 from __future__ import annotations
 
 from .atoms import Atom, fresh
-from .term import Abs, App, ESub, Term, Var, _fv, swap
+from .term import Abs, App, ESub, Term, Var, _fv, free_in, permute
 
 
 def msubst(t: Term, u: Term, x: Atom) -> Term:
     fv_u = frozenset(_fv(u))
 
-    def go(t: Term) -> Term:
+    # go(t, pi, inv) substitutes into pi . t, where pi (with its inverse
+    # inv) is the composition of the binder renamings made above t
+    def go(t: Term, pi: dict[Atom, Atom], inv: dict[Atom, Atom]) -> Term:
         tp = type(t)
         if tp is Var:
-            return u if t.atom == x else t
+            a = pi.get(t.atom, t.atom) if pi else t.atom
+            if a is x:
+                return u
+            return t if a is t.atom else Var(a)
         if tp is App:
-            return App(go(t.fun), go(t.arg))
+            return App(go(t.fun, pi, inv), go(t.arg, pi, inv))
+        if tp is not Abs and tp is not ESub:
+            raise TypeError(f"not a term: {t!r}")
+        b = t.binder
+        y = pi.get(b, b) if pi else b  # the binder of pi . t
         if tp is Abs:
-            y = t.binder
-            if y == x:
-                return t
+            if y is x:
+                return permute(pi, t)
             # The avoid set is fv(u) | fv(t) | {x}; y itself is never free
             # in its own abstraction and y != x here, so the hint y is
             # accepted exactly when it avoids fv(u).  Materialize the set
             # only when the hint fails.
             if y not in fv_u:
-                return Abs(y, go(t.body))
-            avoid = _fv(t.body)
+                return Abs(y, go(t.body, pi, inv))
+            avoid = _moved_fv(pi, t.body)
             avoid.discard(y)
-            avoid |= fv_u
-            avoid.add(x)
-            z = fresh(avoid, y)
-            return Abs(z, go(swap(y, z, t.body)))
-        if tp is ESub:
-            y = t.binder
-            if y == x:
-                return ESub(t.body, y, go(t.arg))
-            fv_arg = _fv(t.arg)
-            if y not in fv_u and y not in fv_arg:
-                return ESub(go(t.body), y, go(t.arg))
-            avoid = _fv(t.body)
+        else:
+            if y is x:
+                return ESub(permute(pi, t.body), y, go(t.arg, pi, inv))
+            # y = pi(b) is free in pi . arg exactly when b is free in arg
+            if y not in fv_u and not free_in(b, t.arg):
+                return ESub(go(t.body, pi, inv), y, go(t.arg, pi, inv))
+            avoid = _moved_fv(pi, t.body)
             avoid.discard(y)
-            avoid |= fv_arg
-            avoid |= fv_u
-            avoid.add(x)
-            z = fresh(avoid, y)
-            return ESub(go(swap(y, z, t.body)), z, go(t.arg))
-        raise TypeError(f"not a term: {t!r}")
+            avoid |= _moved_fv(pi, t.arg)
+        avoid |= fv_u
+        avoid.add(x)
+        z = fresh(avoid, y)
+        # the body is swap y z (pi . body) = ((y z) . pi) . body
+        iz = inv.get(z, z)
+        body = go(t.body, {**pi, b: z, iz: y}, {**inv, z: b, y: iz})
+        if tp is Abs:
+            return Abs(z, body)
+        return ESub(body, z, go(t.arg, pi, inv))
 
-    return go(t)
+    return go(t, {}, {})
+
+
+def _moved_fv(pi: dict[Atom, Atom], t: Term) -> set[Atom]:
+    # fv(pi . t) = pi(fv(t))
+    return {pi.get(a, a) for a in _fv(t)} if pi else _fv(t)

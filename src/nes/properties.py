@@ -23,8 +23,11 @@ from .term import (
     ESub,
     Term,
     Var,
+    _fv_and_atoms,
     all_atoms,
+    free_in,
     fv_nom,
+    permute,
     render,
     size,
     swap,
@@ -217,6 +220,7 @@ class _Draw:
         self.config = config
         self._base = case * self._STRIDE
         self._slot = 0
+        self._atoms_of: tuple = (None, None, None)
 
     def term(self) -> Term:
         t = gen_term(self.config, self._base + self._slot)
@@ -225,6 +229,13 @@ class _Draw:
 
     def atom(self) -> Atom:
         return self.rng.choice(self.config.atom_pool)
+
+    def atoms_of(self, t: Term) -> tuple[set[Atom], set[Atom]]:
+        """``t``'s free and occurring atoms, remembered for the last ``t``
+        asked about.  The sets are shared: callers must not change them."""
+        if self._atoms_of[0] is not t:
+            self._atoms_of = (t, *_fv_and_atoms(t))
+        return self._atoms_of[1], self._atoms_of[2]
 
 
 def _distinct_from(a: Atom, b: Atom) -> Atom:
@@ -237,25 +248,24 @@ def _distinct_from(a: Atom, b: Atom) -> Atom:
 def _swap_out(t: Term, a: Atom) -> Term:
     """A term alpha-equal in shape to ``t`` in which ``a`` is not free
     (``a`` is swapped with an entirely fresh atom when necessary)."""
-    if a not in fv_nom(t):
+    if not free_in(a, t):
         return t
-    c = fresh(all_atoms(t) | AtomSet((a,)), a)
+    c = fresh(all_atoms(t), a)  # a is free in t, so it occurs in t
     return swap(a, c, t)
 
 
 def _not_free(
     d: _Draw,
     t: Term,
-    free: AtomSet | None = None,
-    atoms: AtomSet | set[Atom] | None = None,
+    free: set[Atom] | None = None,
+    atoms: set[Atom] | None = None,
 ) -> Atom:
     """An atom that is not free in ``t``: one of the pool or bound atoms
     when possible, otherwise a fresh one.  ``free`` and ``atoms``, when
-    given, are ``t``'s free and occurring atoms."""
+    given, stand for ``t``'s free and occurring atoms (an alpha-variant
+    drawer passes those of the variant it has built so far)."""
     if free is None:
-        free = fv_nom(t)
-    if atoms is None:
-        atoms = all_atoms(t)
+        free, atoms = d.atoms_of(t)
     candidates = [a for a in d.config.atom_pool if a not in free]
     # ``atoms`` may be an unordered set; sorting keeps what a seed draws
     candidates.extend(
@@ -273,18 +283,19 @@ def _alpha_variant(d: _Draw, t: Term) -> Term:
     """Rename bound atoms of ``t`` by swapping atoms that are not free in
     it; the result is always alpha-equivalent to ``t``."""
     # Neither swapped atom is free in t, so its free atoms stay the same
-    # and its occurring atoms map through the swap.
-    free = fv_nom(t)
-    atoms = set(all_atoms(t))
+    # and its occurring atoms map through the swap.  The swaps compose into
+    # pi, a map from t's atoms to the variant's, applied once at the end.
+    free, atoms = d.atoms_of(t)
+    pi = {a: a for a in atoms}
     for _ in range(1 + d.rng.below(3)):
         x = _not_free(d, t, free, atoms)
         if d.rng.coin():
             y = fresh(atoms | {x}, x)
         else:
             y = _not_free(d, t, free, atoms)
-        t = swap(x, y, t)
-        atoms = {vswap(x, y, a) for a in atoms}
-    return t
+        pi = {a: vswap(x, y, b) for a, b in pi.items()}
+        atoms = set(pi.values())
+    return permute(pi, t)
 
 
 def _variant_or_fresh(d: _Draw, t: Term) -> Term:

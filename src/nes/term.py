@@ -96,6 +96,38 @@ def _fv(t: Term) -> set[Atom]:
     return out
 
 
+def _fv_and_atoms(t: Term) -> tuple[set[Atom], set[Atom]]:
+    # _fv's pass that also collects every occurring atom, binders included
+    out: set[Atom] = set()
+    occurring: set[Atom] = set()
+    shadow: dict[Atom, int] = {}
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        tp = type(node)
+        if tp is Var:
+            a = node.atom
+            occurring.add(a)
+            if not shadow.get(a):
+                out.add(a)
+        elif tp is App:
+            stack.append(node.fun)
+            stack.append(node.arg)
+        elif tp is Abs or tp is ESub:
+            x = node.binder
+            occurring.add(x)
+            if tp is ESub:
+                stack.append(node.arg)
+            shadow[x] = shadow.get(x, 0) + 1
+            stack.append((x,))
+            stack.append(node.body)
+        elif tp is tuple:
+            shadow[node[0]] -= 1
+        else:
+            raise TypeError(f"not a term: {node!r}")
+    return out, occurring
+
+
 def fv_nom(t: Term) -> AtomSet:
     """Free atoms of ``t``.  Both binder forms remove their bound name from
     the body's contribution; an explicit substitution's argument is free."""
@@ -107,20 +139,49 @@ def all_atoms(t: Term) -> AtomSet:
     out: set[Atom] = set()
     stack = [t]
     while stack:
-        match stack.pop():
-            case Var(a):
-                out.add(a)
-            case Abs(x, body):
-                out.add(x)
-                stack.append(body)
-            case App(fun, arg):
-                stack.append(fun)
-                stack.append(arg)
-            case ESub(body, x, arg):
-                out.add(x)
-                stack.append(body)
-                stack.append(arg)
+        node = stack.pop()
+        tp = type(node)
+        if tp is Var:
+            out.add(node.atom)
+        elif tp is Abs:
+            out.add(node.binder)
+            stack.append(node.body)
+        elif tp is App:
+            stack.append(node.fun)
+            stack.append(node.arg)
+        elif tp is ESub:
+            out.add(node.binder)
+            stack.append(node.body)
+            stack.append(node.arg)
+        else:
+            raise TypeError(f"not a term: {node!r}")
     return AtomSet(out)
+
+
+def free_in(a: Atom, t: Term) -> bool:
+    """Whether ``a`` is free in ``t``: ``a in fv_nom(t)`` without building
+    the set.  Stops at the first free occurrence and never descends under
+    a binder named ``a``."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        tp = type(node)
+        if tp is Var:
+            if node.atom is a:
+                return True
+        elif tp is App:
+            stack.append(node.fun)
+            stack.append(node.arg)
+        elif tp is Abs:
+            if node.binder is not a:
+                stack.append(node.body)
+        elif tp is ESub:
+            stack.append(node.arg)  # the argument sits outside the binder
+            if node.binder is not a:
+                stack.append(node.body)
+        else:
+            raise TypeError(f"not a term: {node!r}")
+    return False
 
 
 def vswap(x: Atom, y: Atom, z: Atom) -> Atom:
@@ -132,18 +193,42 @@ def vswap(x: Atom, y: Atom, z: Atom) -> Atom:
     return z
 
 
+def permute(pi: dict[Atom, Atom], t: Term) -> Term:
+    """Apply the atom permutation ``pi`` (or its restriction to ``t``'s
+    atoms) at every atom position of ``t``, binders included, in one pass.
+    Atoms absent from ``pi`` are fixed; a subterm that does not change
+    comes back as the same object."""
+    if not pi:
+        return t
+    get = pi.get
+
+    def go(t: Term) -> Term:
+        tp = type(t)
+        if tp is Var:
+            a = get(t.atom, t.atom)
+            return t if a is t.atom else Var(a)
+        if tp is Abs:
+            x, body = get(t.binder, t.binder), go(t.body)
+            return t if x is t.binder and body is t.body else Abs(x, body)
+        if tp is App:
+            fun, arg = go(t.fun), go(t.arg)
+            return t if fun is t.fun and arg is t.arg else App(fun, arg)
+        if tp is ESub:
+            body, x, arg = go(t.body), get(t.binder, t.binder), go(t.arg)
+            if body is t.body and x is t.binder and arg is t.arg:
+                return t
+            return ESub(body, x, arg)
+        raise TypeError(f"not a term: {t!r}")
+
+    return go(t)
+
+
 def swap(x: Atom, y: Atom, t: Term) -> Term:
-    """Exchange x and y at every atom position of ``t``, binders included."""
-    tp = type(t)
-    if tp is Var:
-        return Var(vswap(x, y, t.atom))
-    if tp is Abs:
-        return Abs(vswap(x, y, t.binder), swap(x, y, t.body))
-    if tp is App:
-        return App(swap(x, y, t.fun), swap(x, y, t.arg))
-    if tp is ESub:
-        return ESub(swap(x, y, t.body), vswap(x, y, t.binder), swap(x, y, t.arg))
-    raise TypeError(f"not a term: {t!r}")
+    """Exchange x and y at every atom position of ``t``, binders included:
+    ``permute`` by one transposition, so ``t`` itself when x is y."""
+    if x is y:
+        return t
+    return permute({x: y, y: x}, t)
 
 
 def render(t: Term) -> str:

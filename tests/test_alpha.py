@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from nes import (
     Abs,
@@ -26,6 +26,7 @@ from nes import (
     size,
     swap,
 )
+from nes.term import _fv
 from strategies import atoms, terms
 
 x, y, z = Atom("x"), Atom("y"), Atom("z")
@@ -78,11 +79,61 @@ def test_oracle_agreement_exhaustive_small():
         assert aeq(t1, t2) == (canonicalize(t1) == canonicalize(t2))
 
 
+def _aeq_swap_rule(t1, t2):
+    # The slow reference: the swap rule with every swap built as a new term
+    # and every premise asked of a free-variable set.
+    tp = type(t1)
+    if tp is not type(t2):
+        return False
+    if tp is Var:
+        return t1.atom == t2.atom
+    if tp is App:
+        return _aeq_swap_rule(t1.fun, t2.fun) and _aeq_swap_rule(t1.arg, t2.arg)
+    x, y = t1.binder, t2.binder
+    if tp is Abs:
+        if x == y:
+            return _aeq_swap_rule(t1.body, t2.body)
+        return x not in _fv(t2.body) and _aeq_swap_rule(t1.body, swap(y, x, t2.body))
+    if x == y:
+        return _aeq_swap_rule(t1.body, t2.body) and _aeq_swap_rule(t1.arg, t2.arg)
+    return (
+        _aeq_swap_rule(t1.arg, t2.arg)
+        and x not in _fv(t2.body)
+        and _aeq_swap_rule(t1.body, swap(y, x, t2.body))
+    )
+
+
+@pytest.mark.parametrize("max_size, pool", [(4, (x, y)), (3, (x, y, z))])
+def test_aeq_agrees_with_the_swap_rule_exhaustively(max_size, pool):
+    universe = enumerate_terms(max_size, pool)
+    for t1, t2 in itertools.product(universe, repeat=2):
+        assert aeq(t1, t2) == _aeq_swap_rule(t1, t2)
+
+
+# A term and a chain of swaps of it: the renamed-binder pairs the rule's
+# permutation has to track across several binders.
+swap_chains = st.tuples(terms, st.lists(st.tuples(atoms, atoms), min_size=1, max_size=4))
+
+
+@given(swap_chains, terms)
+def test_aeq_agrees_with_the_swap_rule_on_swap_variants(chain, other):
+    t, pairs = chain
+    free = fv_nom(t)
+    moved = variant = t
+    for a, b in pairs:
+        moved = swap(a, b, moved)
+        if a not in free and b not in free:
+            variant = swap(a, b, variant)
+    assert aeq(t, variant)
+    for t1, t2 in ((t, variant), (variant, t), (t, moved), (moved, t), (moved, other)):
+        assert aeq(t1, t2) == _aeq_swap_rule(t1, t2)
+
+
 def test_exhaustive_oracle_script():
     root = Path(__file__).resolve().parents[1]
     script = root / "scripts" / "exhaustive_oracle.py"
     result = subprocess.run(
-        [sys.executable, str(script), "--max-size", "3"],
+        [sys.executable, str(script), "--max-size", "5"],
         env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True,
         text=True,

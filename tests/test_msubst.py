@@ -1,5 +1,6 @@
 import itertools
 
+import pytest
 from hypothesis import given
 
 from nes import (
@@ -91,6 +92,17 @@ def _msubst_direct(t, u, x):
 @given(terms, terms, atoms)
 def test_matches_direct_definition(t, u, a):
     assert msubst(t, u, a) == _msubst_direct(t, u, a)
+
+
+# y0 is the first fresh name for y, so nested renames can pick a name that
+# an outer rename already moved.
+@pytest.mark.parametrize("max_size, pool", [(4, (x, y)), (3, (x, y, y0))])
+def test_matches_direct_definition_exhaustively(max_size, pool):
+    # Structural equality: every renamed binder must get the same fresh name.
+    replacements = enumerate_terms(2, pool)
+    for t in enumerate_terms(max_size, pool):
+        for u, a in itertools.product(replacements, pool):
+            assert msubst(t, u, a) == _msubst_direct(t, u, a), (render(t), render(u), a)
 
 
 def _free_by_scope_walk(t, bound):

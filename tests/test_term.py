@@ -1,4 +1,5 @@
-from hypothesis import given
+import pytest
+from hypothesis import given, strategies as st
 
 from nes import (
     Abs,
@@ -8,13 +9,15 @@ from nes import (
     ESub,
     Var,
     all_atoms,
+    enumerate_terms,
     fv_nom,
     render,
     size,
     swap,
     vswap,
 )
-from strategies import atoms, terms
+from nes.term import _fv_and_atoms, free_in, permute
+from strategies import POOL, atoms, terms
 
 x, y, z, w = Atom("x"), Atom("y"), Atom("z"), Atom("w")
 
@@ -54,6 +57,39 @@ def test_swap():
 def test_all_atoms_includes_binders():
     assert all_atoms(Abs(x, Var(y))) == AtomSet([x, y])
     assert all_atoms(ESub(Var(z), x, Var(y))) == AtomSet([x, y, z])
+
+
+@pytest.mark.parametrize("junk", ["junk", None, App(Var(x), "junk"), Abs(x, 3)])
+def test_all_atoms_rejects_non_terms(junk):
+    with pytest.raises(TypeError, match="not a term"):
+        all_atoms(junk)
+
+
+def test_free_in_matches_fv_nom_exhaustively():
+    for t in enumerate_terms(4, (x, y)):
+        free, occurring = _fv_and_atoms(t)
+        assert free == set(fv_nom(t)) and occurring == set(all_atoms(t))
+        for a in (x, y, z):
+            assert free_in(a, t) == (a in fv_nom(t))
+
+
+def test_swap_returns_the_term_itself_when_nothing_moves():
+    t = ESub(Abs(x, App(Var(x), Var(y))), y, Var(x))
+    assert swap(x, x, t) is t
+    assert swap(z, w, t) is t
+    assert permute({}, t) is t
+    moved = swap(y, z, t)
+    assert moved.body.body.fun is t.body.body.fun  # the x leaf is shared
+
+
+@given(st.lists(st.tuples(atoms, atoms), max_size=4), terms)
+def test_permute_of_composed_swaps_is_the_sequential_swaps(pairs, t):
+    pi = {a: a for a in POOL}
+    expected = t
+    for a, b in pairs:
+        pi = {k: vswap(a, b, v) for k, v in pi.items()}
+        expected = swap(a, b, expected)
+    assert permute(pi, t) == expected
 
 
 def test_render():
