@@ -71,44 +71,48 @@ def parse_atom(text: str) -> Atom:
 
 
 class AtomSet:
-    """An immutable set of atoms kept duplicate-free and sorted.
+    """An immutable set of atoms.
 
-    Because the representation is canonical, ``==`` is simultaneously
-    structural and extensional, and iteration order is the (base, index)
-    order.
+    It wraps a frozenset as is (a term's kept free atoms, say) and sorts it
+    only when iterated or printed, in (base, index) order; ``==`` and
+    ``hash`` are over the members.
     """
 
     __slots__ = ("_items", "_members")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
-        members = frozenset(atoms)
-        self._members = members
-        self._items = tuple(sorted(members, key=Atom.sort_key))
+        self._members = frozenset(atoms)  # a frozenset comes back as itself
+        self._items: tuple[Atom, ...] | None = None
+
+    def _sorted(self) -> tuple[Atom, ...]:
+        if self._items is None:
+            self._items = tuple(sorted(self._members, key=Atom.sort_key))
+        return self._items
 
     def __contains__(self, atom: Atom) -> bool:
         return atom in self._members
 
     def __iter__(self) -> Iterator[Atom]:
-        return iter(self._items)
+        return iter(self._sorted())
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._members)
 
     def __bool__(self) -> bool:
-        return bool(self._items)
+        return bool(self._members)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AtomSet):
             return NotImplemented
-        return self._items == other._items
+        return self._members == other._members
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash(self._members)
 
     def __or__(self, other: "AtomSet") -> "AtomSet":
         if not isinstance(other, AtomSet):
             return NotImplemented
-        return AtomSet(self._items + other._items)
+        return AtomSet(self._members | other._members)
 
     union = __or__
 
@@ -116,10 +120,10 @@ class AtomSet:
         """This set without ``atom`` (no error if absent)."""
         if atom not in self._members:
             return self
-        return AtomSet(a for a in self._items if a != atom)
+        return AtomSet(self._members - {atom})
 
     def __repr__(self) -> str:
-        return "{%s}" % ", ".join(str(a) for a in self._items)
+        return "{%s}" % ", ".join(str(a) for a in self._sorted())
 
 
 def fresh(avoid: AtomSet | frozenset[Atom] | set[Atom], hint: Atom) -> Atom:

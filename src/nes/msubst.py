@@ -27,11 +27,11 @@ left alone under ``x``'s own binder is permuted once, in one pass).
 from __future__ import annotations
 
 from .atoms import Atom, fresh
-from .term import Abs, App, ESub, Term, Var, _fv, free_in, permute
+from .term import Abs, App, ESub, Term, Var, _free_atoms, _fv, free_in, permute
 
 
 def msubst(t: Term, u: Term, x: Atom) -> Term:
-    fv_u = frozenset(_fv(u))
+    fv_u = _free_atoms(u)  # kept on u's node for the next call
 
     # go(t, pi, inv) substitutes into pi . t, where pi (with its inverse
     # inv) is the composition of the binder renamings made above t
@@ -82,5 +82,8 @@ def msubst(t: Term, u: Term, x: Atom) -> Term:
 
 
 def _moved_fv(pi: dict[Atom, Atom], t: Term) -> set[Atom]:
-    # fv(pi . t) = pi(fv(t))
-    return {pi.get(a, a) for a in _fv(t)} if pi else _fv(t)
+    # fv(pi . t) = pi(fv(t)), from t's node when kept there, else walked
+    # without storing: t is a subterm met on the way down
+    known = getattr(t, "_free", None)
+    free = _fv(t) if known is None else set(known)
+    return {pi.get(a, a) for a in free} if pi else free

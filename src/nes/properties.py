@@ -23,7 +23,7 @@ from .term import (
     ESub,
     Term,
     Var,
-    _fv_and_atoms,
+    _free_and_occurring,
     all_atoms,
     free_in,
     fv_nom,
@@ -42,14 +42,14 @@ DEFAULT_POOL: tuple[Atom, ...] = (
 _M64 = (1 << 64) - 1
 
 # Node budget of a config's term memo.  A stored term holds at most
-# max_size nodes, and its dict slot, key and share of the dict's spare room
-# cost about _ENTRY_NODES nodes more.  The default ``nes check`` reads 4 term
-# slots per case over 10 000 cases at max size 20:
-# 4 * 10_000 * (20 + _ENTRY_NODES) = 1 000 000 nodes.  Positions below
-# _MEMO_NODES // (max_size + _ENTRY_NODES) are memoised, which covers that
-# run completely and keeps the memo under one ceiling (25-30 MB) for any
-# --cases or --max-size.
-_ENTRY_NODES = 5
+# max_size nodes; its dict slot, key and share of the dict's spare room, and
+# the two atom sets its root node may keep, cost about _ENTRY_NODES nodes
+# more.  The default ``nes check`` reads 4 term slots per case over 10 000
+# cases at max size 20: 4 * 10_000 * (20 + _ENTRY_NODES) = 1 280 000 nodes.
+# Positions below _MEMO_NODES // (max_size + _ENTRY_NODES) are memoised,
+# which covers that run completely and keeps the memo, kept sets included,
+# under one ceiling (about 55 MB) for any --cases or --max-size.
+_ENTRY_NODES = 12
 _MEMO_NODES = 4 * 10_000 * (20 + _ENTRY_NODES)
 
 
@@ -220,7 +220,6 @@ class _Draw:
         self.config = config
         self._base = case * self._STRIDE
         self._slot = 0
-        self._atoms_of: tuple = (None, None, None)
 
     def term(self) -> Term:
         t = gen_term(self.config, self._base + self._slot)
@@ -229,13 +228,6 @@ class _Draw:
 
     def atom(self) -> Atom:
         return self.rng.choice(self.config.atom_pool)
-
-    def atoms_of(self, t: Term) -> tuple[set[Atom], set[Atom]]:
-        """``t``'s free and occurring atoms, remembered for the last ``t``
-        asked about.  The sets are shared: callers must not change them."""
-        if self._atoms_of[0] is not t:
-            self._atoms_of = (t, *_fv_and_atoms(t))
-        return self._atoms_of[1], self._atoms_of[2]
 
 
 def _distinct_from(a: Atom, b: Atom) -> Atom:
@@ -257,15 +249,15 @@ def _swap_out(t: Term, a: Atom) -> Term:
 def _not_free(
     d: _Draw,
     t: Term,
-    free: set[Atom] | None = None,
-    atoms: set[Atom] | None = None,
+    free: frozenset[Atom] | None = None,
+    atoms: frozenset[Atom] | set[Atom] | None = None,
 ) -> Atom:
     """An atom that is not free in ``t``: one of the pool or bound atoms
     when possible, otherwise a fresh one.  ``free`` and ``atoms``, when
     given, stand for ``t``'s free and occurring atoms (an alpha-variant
     drawer passes those of the variant it has built so far)."""
     if free is None:
-        free, atoms = d.atoms_of(t)
+        free, atoms = _free_and_occurring(t)
     candidates = [a for a in d.config.atom_pool if a not in free]
     # ``atoms`` may be an unordered set; sorting keeps what a seed draws
     candidates.extend(
@@ -285,7 +277,7 @@ def _alpha_variant(d: _Draw, t: Term) -> Term:
     # Neither swapped atom is free in t, so its free atoms stay the same
     # and its occurring atoms map through the swap.  The swaps compose into
     # pi, a map from t's atoms to the variant's, applied once at the end.
-    free, atoms = d.atoms_of(t)
+    free, atoms = _free_and_occurring(t)
     pi = {a: a for a in atoms}
     for _ in range(1 + d.rng.below(3)):
         x = _not_free(d, t, free, atoms)
@@ -423,17 +415,17 @@ _CATALOGUE: dict[str, _Prop] = {
     "fv_nom_swap": _Prop(
         _sig("z atom", "y atom", "t swap_out z"),
         lambda z, y, t: y not in fv_nom(swap(y, z, t)),
-        pre=lambda z, y, t: z not in fv_nom(t),
+        pre=lambda z, y, t: not free_in(z, t),
     ),
     "notin_fv_nom_equivariance": _Prop(
         _sig("xp atom", "x atom", "y atom", "t swap_out xp", keys="t xp x y"),
         lambda t, xp, x, y: vswap(x, y, xp) not in fv_nom(swap(x, y, t)),
-        pre=lambda t, xp, x, y: xp not in fv_nom(t),
+        pre=lambda t, xp, x, y: not free_in(xp, t),
     ),
     "notin_fv_nom_remove_swap": _Prop(
         _d_notin_remove_swap,
         lambda t, xp, x, y: xp not in fv_nom(t),
-        pre=lambda t, xp, x, y: vswap(x, y, xp) not in fv_nom(swap(x, y, t)),
+        pre=lambda t, xp, x, y: not free_in(vswap(x, y, xp), swap(x, y, t)),
     ),
     "aeq_refl": _Prop(
         _sig("t term"),
@@ -465,12 +457,12 @@ _CATALOGUE: dict[str, _Prop] = {
     "swap_reduction": _Prop(
         _sig("t term", "x not_free t", "y not_free t"),
         lambda t, x, y: aeq(swap(x, y, t), t),
-        pre=lambda t, x, y: x not in fv_nom(t) and y not in fv_nom(t),
+        pre=lambda t, x, y: not free_in(x, t) and not free_in(y, t),
     ),
     "aeq_swap_swap": _Prop(
         _sig("t term", "x not_free t", "y atom", "z not_free t"),
         lambda t, x, y, z: aeq(swap(z, x, swap(x, y, t)), swap(z, y, t)),
-        pre=lambda t, x, y, z: z not in fv_nom(t) and x not in fv_nom(t),
+        pre=lambda t, x, y, z: not free_in(z, t) and not free_in(x, t),
     ),
     "aeq_oracle": _Prop(
         _sig("t1 term", "t2 variant_or_fresh t1"),
@@ -479,7 +471,7 @@ _CATALOGUE: dict[str, _Prop] = {
     "m_subst_notin": _Prop(
         _sig("x atom", "t swap_out x", "u term", keys="t u x"),
         lambda t, u, x: aeq(msubst(t, u, x), t),
-        pre=lambda t, u, x: x not in fv_nom(t),
+        pre=lambda t, u, x: not free_in(x, t),
     ),
     "m_subst_abs_eq": _Prop(
         _sig("t term", "u term", "x atom"),
@@ -496,7 +488,9 @@ _CATALOGUE: dict[str, _Prop] = {
             msubst(Abs(y, t), u, x), Abs(z, msubst(swap(y, z, t), u, x))
         ),
         pre=lambda t, u, x, y, z: x != y
-        and z not in fv_nom(u) | fv_nom(Abs(y, t)) | AtomSet((x,)),
+        and z != x
+        and not free_in(z, u)
+        and not free_in(z, Abs(y, t)),
     ),
     "m_subst_sub_neq": _Prop(
         _d_sub_neq,
@@ -505,7 +499,9 @@ _CATALOGUE: dict[str, _Prop] = {
             ESub(msubst(swap(y, z, t1), u, x), z, msubst(t2, u, x)),
         ),
         pre=lambda t1, t2, u, x, y, z: x != y
-        and z not in fv_nom(u) | fv_nom(ESub(t1, y, t2)) | AtomSet((x,)),
+        and z != x
+        and not free_in(z, u)
+        and not free_in(z, ESub(t1, y, t2)),
     ),
     "aeq_m_subst_in": _Prop(
         _sig("u term", "t term", "up variant u", "x atom", keys="t u up x"),
@@ -538,7 +534,7 @@ _CATALOGUE: dict[str, _Prop] = {
             msubst(msubst(t1, t2, x), t3, y),
             msubst(msubst(t1, t3, y), msubst(t2, t3, y), x),
         ),
-        pre=lambda t1, t2, t3, x, y: x != y and x not in fv_nom(t3),
+        pre=lambda t1, t2, t3, x, y: x != y and not free_in(x, t3),
     ),
     "parse_roundtrip": _Prop(
         _sig("t term"),

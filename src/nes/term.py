@@ -2,43 +2,157 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .atoms import Atom, AtomSet
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class _Node:
+    """What the four term classes share.  Fields are set once, through the
+    slot descriptors; ``==`` and ``hash`` are structural and walk an
+    explicit stack, so they work at any depth.
+
+    ``_free`` and ``_atoms`` are a node's free and occurring atoms as
+    frozensets.  ``Abs``, ``App`` and ``ESub`` keep them in slots that start
+    empty and are filled only at a node asked directly (``fv_nom``,
+    ``msubst``'s ``fv(u)``, a drawer's atoms of a term), never at the
+    subterms a traversal passes through; a ``Var`` builds its one-atom set
+    when asked and keeps nothing."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("terms are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("terms are immutable")
+
+    def __reduce__(self) -> tuple:
+        return (type(self), tuple(getattr(self, f) for f in self.__match_args__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return _equal(self, other)
+
+    def __hash__(self) -> int:
+        return _hash(self)
+
+
+class Var(_Node):
+    __slots__ = ("atom",)
+    __match_args__ = ("atom",)
     atom: Atom
 
+    def __init__(self, atom: Atom) -> None:
+        _set_atom(self, atom)
 
-@dataclass(frozen=True, slots=True)
-class Abs:
+    @property
+    def _free(self) -> frozenset[Atom]:
+        return frozenset((self.atom,))
+
+    _atoms = _free
+
+
+class Abs(_Node):
+    __slots__ = ("binder", "body", "_free", "_atoms")
+    __match_args__ = ("binder", "body")
     binder: Atom
     body: "Term"
 
+    def __init__(self, binder: Atom, body: "Term") -> None:
+        _set_abs_binder(self, binder)
+        _set_abs_body(self, body)
 
-@dataclass(frozen=True, slots=True)
-class App:
+
+class App(_Node):
+    __slots__ = ("fun", "arg", "_free", "_atoms")
+    __match_args__ = ("fun", "arg")
     fun: "Term"
     arg: "Term"
 
+    def __init__(self, fun: "Term", arg: "Term") -> None:
+        _set_fun(self, fun)
+        _set_app_arg(self, arg)
 
-@dataclass(frozen=True, slots=True)
-class ESub:
+
+class ESub(_Node):
     """``[binder := arg] body``: an object-level substitution constructor.
 
     It carries no evaluation rules here; it only binds ``binder`` in
     ``body`` (the argument is outside the binder's scope).
     """
 
+    __slots__ = ("body", "binder", "arg", "_free", "_atoms")
+    __match_args__ = ("body", "binder", "arg")
     body: "Term"
     binder: Atom
     arg: "Term"
 
+    def __init__(self, body: "Term", binder: Atom, arg: "Term") -> None:
+        _set_esub_body(self, body)
+        _set_esub_binder(self, binder)
+        _set_esub_arg(self, arg)
+
+
+_set_atom = Var.atom.__set__
+_set_abs_binder, _set_abs_body = Abs.binder.__set__, Abs.body.__set__
+_set_fun, _set_app_arg = App.fun.__set__, App.arg.__set__
+_set_esub_body, _set_esub_binder, _set_esub_arg = (
+    ESub.body.__set__, ESub.binder.__set__, ESub.arg.__set__
+)
 
 Term = Union[Var, Abs, App, ESub]
+
+
+def _equal(s: Term, t: Term) -> bool:
+    # pairs still to compare; shared subterms are equal at once
+    stack = [(s, t)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        tp = type(a)
+        if tp is not type(b):
+            return False
+        if tp is Var:
+            if a.atom != b.atom:
+                return False
+        elif tp is App:
+            stack.append((a.arg, b.arg))
+            stack.append((a.fun, b.fun))
+        elif tp is Abs:
+            if a.binder != b.binder:
+                return False
+            stack.append((a.body, b.body))
+        elif tp is ESub:
+            if a.binder != b.binder:
+                return False
+            stack.append((a.arg, b.arg))
+            stack.append((a.body, b.body))
+        elif a != b:
+            return False
+    return True
+
+
+def _hash(t: Term) -> int:
+    # The preorder of classes and atoms: each class fixes how many fields
+    # follow it, so equal terms, and only they, give equal tokens.
+    tokens: list = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _Node):
+            tokens.append(type(node))
+            stack.extend([getattr(node, f) for f in reversed(node.__match_args__)])
+        else:
+            tokens.append(node)
+    return hash(tuple(tokens))
 
 
 def size(t: Term) -> int:
@@ -130,38 +244,45 @@ def _fv_and_atoms(t: Term) -> tuple[set[Atom], set[Atom]]:
 
 def fv_nom(t: Term) -> AtomSet:
     """Free atoms of ``t``.  Both binder forms remove their bound name from
-    the body's contribution; an explicit substitution's argument is free."""
-    return AtomSet(_fv(t))
+    the body's contribution; an explicit substitution's argument is free.
+    The set is kept on ``t``'s node, so asking again costs no walk."""
+    return AtomSet(_free_atoms(t))
+
+
+def _free_atoms(t: Term) -> frozenset[Atom]:
+    # t's free atoms from its slot, computed and stored there when empty
+    free = getattr(t, "_free", None)
+    if free is None:
+        free = frozenset(_fv(t))
+        object.__setattr__(t, "_free", free)
+    return free
+
+
+def _free_and_occurring(t: Term) -> tuple[frozenset[Atom], frozenset[Atom]]:
+    """``t``'s free and occurring atoms, kept on its node (one walk fills
+    both slots)."""
+    atoms = getattr(t, "_atoms", None)
+    if atoms is None:
+        free, atoms = map(frozenset, _fv_and_atoms(t))
+        object.__setattr__(t, "_free", free)
+        object.__setattr__(t, "_atoms", atoms)
+    return t._free, atoms
 
 
 def all_atoms(t: Term) -> AtomSet:
     """Every atom occurring in ``t``, bound or free, binders included."""
-    out: set[Atom] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        tp = type(node)
-        if tp is Var:
-            out.add(node.atom)
-        elif tp is Abs:
-            out.add(node.binder)
-            stack.append(node.body)
-        elif tp is App:
-            stack.append(node.fun)
-            stack.append(node.arg)
-        elif tp is ESub:
-            out.add(node.binder)
-            stack.append(node.body)
-            stack.append(node.arg)
-        else:
-            raise TypeError(f"not a term: {node!r}")
-    return AtomSet(out)
+    known = getattr(t, "_atoms", None)
+    return AtomSet(_fv_and_atoms(t)[1] if known is None else known)
 
 
 def free_in(a: Atom, t: Term) -> bool:
-    """Whether ``a`` is free in ``t``: ``a in fv_nom(t)`` without building
-    the set.  Stops at the first free occurrence and never descends under
-    a binder named ``a``."""
+    """Whether ``a`` is free in ``t``: ``a in fv_nom(t)``, read from ``t``'s
+    node when its free atoms are kept there, and otherwise without building
+    the set.  The walk stops at the first free occurrence and never
+    descends under a binder named ``a``."""
+    known = getattr(t, "_free", None)
+    if known is not None:
+        return a in known
     stack = [t]
     while stack:
         node = stack.pop()

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,12 +14,13 @@ from nes import (
     all_atoms,
     enumerate_terms,
     fv_nom,
+    msubst,
     render,
     size,
     swap,
     vswap,
 )
-from nes.term import _fv_and_atoms, free_in, permute
+from nes.term import _free_and_occurring, _fv_and_atoms, free_in, permute
 from strategies import POOL, atoms, terms
 
 x, y, z, w = Atom("x"), Atom("y"), Atom("z"), Atom("w")
@@ -139,3 +143,101 @@ def test_swap_equivariance(a, b, c, d, t):
 def test_fv_nom_swap(a, b, t):
     if a not in fv_nom(t):
         assert b not in fv_nom(swap(b, a, t))
+
+
+DEEP = 10**5
+
+
+def _chain(n, leaf):
+    t = leaf
+    for _ in range(n):
+        t = Abs(x, t)
+    return t
+
+
+def _spine(n, leaf):
+    t = Var(x)
+    for _ in range(n):
+        t = App(t, Var(y))
+    return App(t, leaf)
+
+
+@pytest.mark.parametrize("build", [_chain, _spine])
+def test_equality_and_hash_are_stack_safe(build):
+    s, t, other = build(DEEP, Var(z)), build(DEEP, Var(z)), build(DEEP, Var(w))
+    assert s is not t
+    assert s == t and not (s != t)
+    assert s != other and not (s == other)
+    assert hash(s) == hash(t)
+
+
+def test_equality_is_structural_and_equal_terms_hash_equal():
+    ts = enumerate_terms(4, (x, y))
+    twins = [copy.deepcopy(t) for t in ts]  # equal terms built separately
+    for s, text in zip(ts, map(render, ts)):
+        for t in twins:
+            assert (s == t) is (text == render(t)) is not (s != t)
+            if s == t:
+                assert hash(s) == hash(t)
+    assert len(set(map(hash, ts))) == len(ts)  # and distinct ones do not collide
+    assert Var(x) != Abs(x, Var(x)) and Var(x) != "x"
+
+
+def test_kept_atom_sets_match_the_walks_cold_and_warm():
+    for t in enumerate_terms(5, (x, y)):
+        t = copy.deepcopy(t)  # no slot of it filled by an earlier term
+        free, occurring = _fv_and_atoms(t)
+        for warm in (False, True):
+            if type(t) is not Var:  # a leaf keeps nothing
+                assert (getattr(t, "_free", None) is not None) is warm
+            assert [free_in(a, t) for a in (x, y, z)] == [a in free for a in (x, y, z)]
+            assert set(all_atoms(t)) == occurring
+            assert set(fv_nom(t)) == free
+            assert _free_and_occurring(t) == (free, occurring)
+
+
+def _subterms(t):
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(getattr(node, f) for f in ("body", "fun", "arg") if hasattr(node, f))
+
+
+def test_msubst_keeps_no_atom_set_below_the_asked_node():
+    # every binder b_i is free in u, so each one is renamed on the way down
+    binders = [Atom("b", i) for i in range(200)]
+    body = Var(x)
+    for b in binders:
+        body = App(body, Var(b))
+    t = body
+    for b in reversed(binders):
+        t = Abs(b, t)
+    u = Var(binders[0])
+    for b in binders[1:]:
+        u = App(u, Var(b))
+    result = msubst(t, u, x)
+    assert result.binder is not binders[0]
+    assert getattr(u, "_free", None) is not None  # asked directly
+    for node in [*_subterms(t), *list(_subterms(u))[1:]]:
+        if type(node) is not Var:  # a leaf keeps nothing
+            assert getattr(node, "_free", None) is None, node
+            assert getattr(node, "_atoms", None) is None, node
+
+
+def test_copies_are_equal_and_fields_are_read_only():
+    t = ESub(Abs(x, App(Var(x), Var(y))), z, Var(w))
+    fv_nom(t)
+    for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert twin == t and repr(twin) == repr(t)
+    assert repr(t) == (
+        "ESub(body=Abs(binder=Atom('x'), body=App(fun=Var(atom=Atom('x')), "
+        "arg=Var(atom=Atom('y')))), binder=Atom('z'), arg=Var(atom=Atom('w')))"
+    )
+    for node, field in ((t, "binder"), (t.body, "body"), (t.body.body, "fun"), (t.arg, "atom")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, Var(x))
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+    with pytest.raises(AttributeError):
+        t._free = frozenset()
