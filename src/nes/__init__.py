@@ -1,13 +1,13 @@
 """Nominal terms with an uninterpreted explicit substitution operator.
 
-Core pieces: atoms and canonical atom sets with deterministic fresh-name
-generation, the four-constructor term type with swapping, a rule-based
+Core pieces: atoms with deterministic fresh-name generation, the
+four-constructor term type with swapping and free-atom sets, a rule-based
 alpha-equivalence decision cross-checked by a nameless normal form,
 capture-avoiding substitution, a concrete-syntax parser and printer, and a
 deterministic random checker for the calculus's laws.
 """
 
-from .atoms import Atom, AtomSet, fresh, parse_atom
+from .atoms import Atom, fresh, parse_atom
 from .term import (
     Abs,
     App,
@@ -47,7 +47,6 @@ from .properties import (
 
 __all__ = [
     "Atom",
-    "AtomSet",
     "fresh",
     "parse_atom",
     "Term",

@@ -1,9 +1,13 @@
-"""Variable names ("atoms") and canonical finite sets of them."""
+"""Variable names ("atoms") and deterministic fresh-name generation.
+
+A finite set of atoms is a plain ``frozenset``: it has no order, and
+``sorted(atoms, key=Atom.sort_key)`` gives the display order.
+"""
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Container
 
 # A base is an ASCII identifier that does not end in a digit, so that the
 # display form "base + decimal index" can be decoded unambiguously.
@@ -70,63 +74,7 @@ def parse_atom(text: str) -> Atom:
     return Atom(stripped, int(text[len(stripped):]))
 
 
-class AtomSet:
-    """An immutable set of atoms.
-
-    It wraps a frozenset as is (a term's kept free atoms, say) and sorts it
-    only when iterated or printed, in (base, index) order; ``==`` and
-    ``hash`` are over the members.
-    """
-
-    __slots__ = ("_items", "_members")
-
-    def __init__(self, atoms: Iterable[Atom] = ()):
-        self._members = frozenset(atoms)  # a frozenset comes back as itself
-        self._items: tuple[Atom, ...] | None = None
-
-    def _sorted(self) -> tuple[Atom, ...]:
-        if self._items is None:
-            self._items = tuple(sorted(self._members, key=Atom.sort_key))
-        return self._items
-
-    def __contains__(self, atom: Atom) -> bool:
-        return atom in self._members
-
-    def __iter__(self) -> Iterator[Atom]:
-        return iter(self._sorted())
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __bool__(self) -> bool:
-        return bool(self._members)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AtomSet):
-            return NotImplemented
-        return self._members == other._members
-
-    def __hash__(self) -> int:
-        return hash(self._members)
-
-    def __or__(self, other: "AtomSet") -> "AtomSet":
-        if not isinstance(other, AtomSet):
-            return NotImplemented
-        return AtomSet(self._members | other._members)
-
-    union = __or__
-
-    def remove(self, atom: Atom) -> "AtomSet":
-        """This set without ``atom`` (no error if absent)."""
-        if atom not in self._members:
-            return self
-        return AtomSet(self._members - {atom})
-
-    def __repr__(self) -> str:
-        return "{%s}" % ", ".join(str(a) for a in self._sorted())
-
-
-def fresh(avoid: AtomSet | frozenset[Atom] | set[Atom], hint: Atom) -> Atom:
+def fresh(avoid: Container[Atom], hint: Atom) -> Atom:
     """The first atom not in ``avoid``: the hint itself, then the hint's
     base with indices 0, 1, 2, ... in order.
 

@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .alpha import aeq, canonicalize, render_canonical
-from .atoms import parse_atom
+from .atoms import Atom, parse_atom
 from .msubst import msubst
 from .parser import ParseError, eval_meta, parse
 from .properties import (
@@ -44,7 +44,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_fv(args: argparse.Namespace) -> int:
-    for atom in fv_nom(_term_arg(args.expr)):
+    for atom in sorted(fv_nom(_term_arg(args.expr)), key=Atom.sort_key):
         print(atom)
     return 0
 

@@ -27,11 +27,11 @@ left alone under ``x``'s own binder is permuted once, in one pass).
 from __future__ import annotations
 
 from .atoms import Atom, fresh
-from .term import Abs, App, ESub, Term, Var, _free_atoms, _fv, free_in, permute
+from .term import Abs, App, ESub, Term, Var, _fv, free_in, fv_nom, permute
 
 
 def msubst(t: Term, u: Term, x: Atom) -> Term:
-    fv_u = _free_atoms(u)  # kept on u's node for the next call
+    fv_u = fv_nom(u)  # kept on u's node for the next call
 
     # go(t, pi, inv) substitutes into pi . t, where pi (with its inverse
     # inv) is the composition of the binder renamings made above t
@@ -85,5 +85,5 @@ def _moved_fv(pi: dict[Atom, Atom], t: Term) -> set[Atom]:
     # fv(pi . t) = pi(fv(t)), from t's node when kept there, else walked
     # without storing: t is a subterm met on the way down
     known = getattr(t, "_free", None)
-    free = _fv(t) if known is None else set(known)
+    free = _fv(t)[0] if known is None else set(known)
     return {pi.get(a, a) for a in free} if pi else free

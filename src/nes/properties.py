@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .alpha import aeq, canonicalize
-from .atoms import Atom, AtomSet, fresh
+from .atoms import Atom, fresh
 from .parser import Lit, parse
 from .term import (
     Abs,
@@ -23,7 +23,6 @@ from .term import (
     ESub,
     Term,
     Var,
-    _free_and_occurring,
     all_atoms,
     free_in,
     fv_nom,
@@ -234,7 +233,7 @@ def _distinct_from(a: Atom, b: Atom) -> Atom:
     """``b`` itself, or a deterministic replacement differing from ``a``."""
     if b != a:
         return b
-    return fresh(AtomSet((a,)), b)
+    return fresh((a,), b)
 
 
 def _swap_out(t: Term, a: Atom) -> Term:
@@ -249,17 +248,15 @@ def _swap_out(t: Term, a: Atom) -> Term:
 def _not_free(
     d: _Draw,
     t: Term,
-    free: frozenset[Atom] | None = None,
-    atoms: frozenset[Atom] | set[Atom] | None = None,
+    free: set[Atom],
+    atoms: frozenset[Atom] | set[Atom],
 ) -> Atom:
     """An atom that is not free in ``t``: one of the pool or bound atoms
-    when possible, otherwise a fresh one.  ``free`` and ``atoms``, when
-    given, stand for ``t``'s free and occurring atoms (an alpha-variant
-    drawer passes those of the variant it has built so far)."""
-    if free is None:
-        free, atoms = _free_and_occurring(t)
+    when possible, otherwise a fresh one.  ``free`` and ``atoms`` stand for
+    ``t``'s free and occurring atoms (an alpha-variant drawer passes those
+    of the variant it has built so far)."""
     candidates = [a for a in d.config.atom_pool if a not in free]
-    # ``atoms`` may be an unordered set; sorting keeps what a seed draws
+    # ``atoms`` is an unordered set; sorting keeps what a seed draws
     candidates.extend(
         sorted(
             (a for a in atoms if a not in free and a not in candidates),
@@ -271,13 +268,20 @@ def _not_free(
     return fresh(atoms, d.config.atom_pool[0])
 
 
+def _free_and_all_atoms(t: Term) -> tuple[set[Atom], frozenset[Atom]]:
+    # Read through all_atoms and free_in rather than fv_nom, so the traced
+    # term.fv counters keep counting the laws' own free-atom queries only.
+    atoms = all_atoms(t)
+    return {a for a in atoms if free_in(a, t)}, atoms
+
+
 def _alpha_variant(d: _Draw, t: Term) -> Term:
     """Rename bound atoms of ``t`` by swapping atoms that are not free in
     it; the result is always alpha-equivalent to ``t``."""
     # Neither swapped atom is free in t, so its free atoms stay the same
     # and its occurring atoms map through the swap.  The swaps compose into
     # pi, a map from t's atoms to the variant's, applied once at the end.
-    free, atoms = _free_and_occurring(t)
+    free, atoms = _free_and_all_atoms(t)
     pi = {a: a for a in atoms}
     for _ in range(1 + d.rng.below(3)):
         x = _not_free(d, t, free, atoms)
@@ -296,7 +300,7 @@ def _variant_or_fresh(d: _Draw, t: Term) -> Term:
     return d.term()
 
 
-def _pick_avoiding(d: _Draw, avoid: AtomSet) -> Atom:
+def _pick_avoiding(d: _Draw, avoid: frozenset[Atom]) -> Atom:
     """An atom outside ``avoid``: a pool atom when one qualifies, else a
     fresh one seeded by a random pool hint."""
     candidates = [a for a in d.config.atom_pool if a not in avoid]
@@ -326,7 +330,7 @@ _KINDS: dict[str, Callable[[_Draw, object], object]] = {
     "swap_out": lambda d, s: _swap_out(d.term(), s),
     "variant": _alpha_variant,
     "variant_or_fresh": _variant_or_fresh,
-    "not_free": _not_free,
+    "not_free": lambda d, s: _not_free(d, s, *_free_and_all_atoms(s)),
 }
 
 
@@ -365,14 +369,14 @@ def _d_notin_remove_swap(d: _Draw) -> dict:
 def _d_abs_neq(d: _Draw) -> dict:
     t, u, x = d.term(), d.term(), d.atom()
     y = _distinct_from(x, d.atom())
-    z = _pick_avoiding(d, fv_nom(u) | fv_nom(Abs(y, t)) | AtomSet((x,)))
+    z = _pick_avoiding(d, fv_nom(u) | fv_nom(Abs(y, t)) | {x})
     return {"t": t, "u": u, "x": x, "y": y, "z": z}
 
 
 def _d_sub_neq(d: _Draw) -> dict:
     t1, t2, u, x = d.term(), d.term(), d.term(), d.atom()
     y = _distinct_from(x, d.atom())
-    z = _pick_avoiding(d, fv_nom(u) | fv_nom(ESub(t1, y, t2)) | AtomSet((x,)))
+    z = _pick_avoiding(d, fv_nom(u) | fv_nom(ESub(t1, y, t2)) | {x})
     return {"t1": t1, "t2": t2, "u": u, "x": x, "y": y, "z": z}
 
 

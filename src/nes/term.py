@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .atoms import Atom, AtomSet
+from .atoms import Atom
 
 
 class _Node:
@@ -14,10 +14,10 @@ class _Node:
 
     ``_free`` and ``_atoms`` are a node's free and occurring atoms as
     frozensets.  ``Abs``, ``App`` and ``ESub`` keep them in slots that start
-    empty and are filled only at a node asked directly (``fv_nom``,
-    ``msubst``'s ``fv(u)``, a drawer's atoms of a term), never at the
-    subterms a traversal passes through; a ``Var`` builds its one-atom set
-    when asked and keeps nothing."""
+    empty and are filled together, by one walk, only at a node asked
+    directly (``fv_nom``, ``all_atoms``, ``msubst``'s ``fv(u)``), never at
+    the subterms a traversal passes through; a ``Var`` builds its one-atom
+    set when asked and keeps nothing."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -176,10 +176,11 @@ def size(t: Term) -> int:
     return n
 
 
-def _fv(t: Term) -> set[Atom]:
+def _fv(t: Term) -> tuple[set[Atom], set[Atom]]:
     # One pass with shadow counts per atom: entries on the stack are either
     # a term to visit or (atom,) marking the end of that binder's scope.
-    out: set[Atom] = set()
+    # Returns the free atoms and every occurring atom, binders included.
+    free: set[Atom] = set()
     shadow: dict[Atom, int] = {}
     stack: list = [t]
     while stack:
@@ -188,50 +189,14 @@ def _fv(t: Term) -> set[Atom]:
         if tp is Var:
             a = node.atom
             if not shadow.get(a):
-                out.add(a)
-        elif tp is App:
-            stack.append(node.fun)
-            stack.append(node.arg)
-        elif tp is Abs:
-            x = node.binder
-            shadow[x] = shadow.get(x, 0) + 1
-            stack.append((x,))
-            stack.append(node.body)
-        elif tp is ESub:
-            x = node.binder
-            stack.append(node.arg)  # the argument sits outside the binder
-            shadow[x] = shadow.get(x, 0) + 1
-            stack.append((x,))
-            stack.append(node.body)
-        elif tp is tuple:
-            shadow[node[0]] -= 1
-        else:
-            raise TypeError(f"not a term: {node!r}")
-    return out
-
-
-def _fv_and_atoms(t: Term) -> tuple[set[Atom], set[Atom]]:
-    # _fv's pass that also collects every occurring atom, binders included
-    out: set[Atom] = set()
-    occurring: set[Atom] = set()
-    shadow: dict[Atom, int] = {}
-    stack: list = [t]
-    while stack:
-        node = stack.pop()
-        tp = type(node)
-        if tp is Var:
-            a = node.atom
-            occurring.add(a)
-            if not shadow.get(a):
-                out.add(a)
+                free.add(a)
         elif tp is App:
             stack.append(node.fun)
             stack.append(node.arg)
         elif tp is Abs or tp is ESub:
             x = node.binder
-            occurring.add(x)
             if tp is ESub:
-                stack.append(node.arg)
+                stack.append(node.arg)  # the argument sits outside the binder
             shadow[x] = shadow.get(x, 0) + 1
             stack.append((x,))
             stack.append(node.body)
@@ -239,40 +204,33 @@ def _fv_and_atoms(t: Term) -> tuple[set[Atom], set[Atom]]:
             shadow[node[0]] -= 1
         else:
             raise TypeError(f"not a term: {node!r}")
-    return out, occurring
-
-
-def fv_nom(t: Term) -> AtomSet:
-    """Free atoms of ``t``.  Both binder forms remove their bound name from
-    the body's contribution; an explicit substitution's argument is free.
-    The set is kept on ``t``'s node, so asking again costs no walk."""
-    return AtomSet(_free_atoms(t))
-
-
-def _free_atoms(t: Term) -> frozenset[Atom]:
-    # t's free atoms from its slot, computed and stored there when empty
-    free = getattr(t, "_free", None)
-    if free is None:
-        free = frozenset(_fv(t))
-        object.__setattr__(t, "_free", free)
-    return free
+    # shadow's keys are the binders, and an atom of a Var that is not free is
+    # bound, so the two cover every occurring atom
+    return free, free.union(shadow)
 
 
 def _free_and_occurring(t: Term) -> tuple[frozenset[Atom], frozenset[Atom]]:
     """``t``'s free and occurring atoms, kept on its node (one walk fills
-    both slots)."""
+    both slots, so a node keeps both sets or neither)."""
     atoms = getattr(t, "_atoms", None)
     if atoms is None:
-        free, atoms = map(frozenset, _fv_and_atoms(t))
+        free, atoms = map(frozenset, _fv(t))
         object.__setattr__(t, "_free", free)
         object.__setattr__(t, "_atoms", atoms)
     return t._free, atoms
 
 
-def all_atoms(t: Term) -> AtomSet:
-    """Every atom occurring in ``t``, bound or free, binders included."""
-    known = getattr(t, "_atoms", None)
-    return AtomSet(_fv_and_atoms(t)[1] if known is None else known)
+def fv_nom(t: Term) -> frozenset[Atom]:
+    """Free atoms of ``t``.  Both binder forms remove their bound name from
+    the body's contribution; an explicit substitution's argument is free.
+    The set is kept on ``t``'s node, so asking again costs no walk."""
+    return _free_and_occurring(t)[0]
+
+
+def all_atoms(t: Term) -> frozenset[Atom]:
+    """Every atom occurring in ``t``, bound or free, binders included; kept
+    on ``t``'s node like ``fv_nom``."""
+    return _free_and_occurring(t)[1]
 
 
 def free_in(a: Atom, t: Term) -> bool:

@@ -18,3 +18,16 @@ terms = st.recursive(
     ),
     max_leaves=25,
 )
+
+
+def _free_by_scope_walk(t, bound=frozenset()):
+    # Independent free-variable computation: carry the bound names down.
+    if isinstance(t, Var):
+        return set() if t.atom in bound else {t.atom}
+    if isinstance(t, App):
+        return _free_by_scope_walk(t.fun, bound) | _free_by_scope_walk(t.arg, bound)
+    if isinstance(t, Abs):
+        return _free_by_scope_walk(t.body, bound | {t.binder})
+    return _free_by_scope_walk(t.body, bound | {t.binder}) | _free_by_scope_walk(
+        t.arg, bound
+    )

@@ -18,7 +18,6 @@ from nes import (
     Var,
     aeq,
     all_atoms,
-    AtomSet,
     canonicalize,
     enumerate_terms,
     fresh,
@@ -45,18 +44,19 @@ def _report(criterion: str, ok: bool) -> bool:
 def _swap_out(t, a):
     if a not in fv_nom(t):
         return t
-    return swap(a, fresh(all_atoms(t) | AtomSet((a,)), a), t)
+    return swap(a, fresh(all_atoms(t) | {a}, a), t)
 
 
 def _forced_variant(t):
-    # rename up to two bound atoms; sound because the swapped atoms are not
-    # free in t
+    # rename up to two bound atoms, met in display order so the run is the
+    # same in every process; sound because the swapped atoms are not free
+    # in t
     variant = t
     renamed = 0
-    for a in all_atoms(t):
+    for a in sorted(all_atoms(t), key=Atom.sort_key):
         if a in fv_nom(t):
             continue
-        variant = swap(a, fresh(all_atoms(variant) | AtomSet((a,)), a), variant)
+        variant = swap(a, fresh(all_atoms(variant) | {a}, a), variant)
         renamed += 1
         if renamed == 2:
             break
@@ -161,8 +161,8 @@ def test_criterion_5_syntactic_equality_lemmas():
         ):
             failures.append(("swap_equivariance", case))
         # shuffle needs a != c and b != c
-        sa = a if a != c else fresh(AtomSet((c,)), a)
-        sb = b if b != c else fresh(AtomSet((c,)), b)
+        sa = a if a != c else fresh((c,), a)
+        sb = b if b != c else fresh((c,), b)
         if swap(sa, sb, swap(sb, c, t)) != swap(sa, c, swap(sa, sb, t)):
             failures.append(("shuffle_swap", case))
     ok = _report(

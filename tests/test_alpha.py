@@ -26,8 +26,7 @@ from nes import (
     size,
     swap,
 )
-from nes.term import _fv
-from strategies import atoms, terms
+from strategies import _free_by_scope_walk, atoms, terms
 
 x, y, z = Atom("x"), Atom("y"), Atom("z")
 
@@ -93,12 +92,14 @@ def _aeq_swap_rule(t1, t2):
     if tp is Abs:
         if x == y:
             return _aeq_swap_rule(t1.body, t2.body)
-        return x not in _fv(t2.body) and _aeq_swap_rule(t1.body, swap(y, x, t2.body))
+        return x not in _free_by_scope_walk(t2.body) and _aeq_swap_rule(
+            t1.body, swap(y, x, t2.body)
+        )
     if x == y:
         return _aeq_swap_rule(t1.body, t2.body) and _aeq_swap_rule(t1.arg, t2.arg)
     return (
         _aeq_swap_rule(t1.arg, t2.arg)
-        and x not in _fv(t2.body)
+        and x not in _free_by_scope_walk(t2.body)
         and _aeq_swap_rule(t1.body, swap(y, x, t2.body))
     )
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from nes import Abs, Atom, AtomSet, ESub, Var, fresh, parse_atom
+from nes import Abs, Atom, ESub, Var, fresh, parse_atom
 from strategies import atoms
 
 x, y = Atom("x"), Atom("y")
@@ -13,19 +13,19 @@ x0, x1, x2 = Atom("x", 0), Atom("x", 1), Atom("x", 2)
 
 
 def test_fresh_returns_hint_when_free():
-    assert fresh(AtomSet(), x) == x
+    assert fresh(frozenset(), x) == x
 
 
 def test_fresh_forced_to_indexed_names():
-    assert fresh(AtomSet([x]), x) == x0
-    assert fresh(AtomSet([x, x0, x1]), x) == x2
+    assert fresh(frozenset([x]), x) == x0
+    assert fresh(frozenset([x, x0, x1]), x) == x2
 
 
 def test_fresh_indexed_hint_restarts_at_zero():
-    assert fresh(AtomSet([Atom("x", 3)]), Atom("x", 3)) == x0
+    assert fresh(frozenset([Atom("x", 3)]), Atom("x", 3)) == x0
 
 
-atom_sets = st.lists(atoms, max_size=6).map(AtomSet)
+atom_sets = st.frozensets(atoms, max_size=6)
 
 
 @given(atom_sets, atoms)
@@ -72,7 +72,7 @@ def test_atom_validation():
 
 
 def test_atoms_are_interned():
-    assert parse_atom("x0") is Atom("x", 0) is fresh(AtomSet([Atom("x")]), Atom("x"))
+    assert parse_atom("x0") is Atom("x", 0) is fresh(frozenset([Atom("x")]), Atom("x"))
     assert Atom("x") is x
     assert copy.copy(x0) is x0
     assert copy.deepcopy(x0) is x0
@@ -85,33 +85,3 @@ def test_parse_atom_rejects_non_identifiers():
     for bad in ("", " x", "x y", "0", "x-"):
         with pytest.raises(ValueError):
             parse_atom(bad)
-
-
-def test_atomset_canonical_order():
-    s = AtomSet([y, x1, x, x0, x])
-    assert list(s) == [x, x0, x1, y]  # absent index sorts before 0
-    assert len(s) == 4
-
-
-@given(st.lists(atoms, max_size=8), st.lists(atoms, max_size=8))
-def test_atomset_equality_is_set_equality(a, b):
-    sa, sb = AtomSet(a), AtomSet(b)
-    assert (sa == sb) == (set(a) == set(b))
-    # same elements in any order build the identical representation
-    assert AtomSet(reversed(a)) == sa
-    assert hash(AtomSet(reversed(a))) == hash(sa)
-
-
-@given(st.lists(atoms, max_size=8), st.lists(atoms, max_size=8), atoms)
-def test_atomset_laws(a, b, c):
-    sa, sb = AtomSet(a), AtomSet(b)
-    union = sa | sb
-    assert all(e in union for e in list(sa) + list(sb))
-    assert set(union) == set(a) | set(b)
-    assert set(sa.remove(c)) == set(a) - {c}
-    assert (c in sa) == (c in set(a))
-
-
-def test_atomset_remove_absent_is_noop():
-    s = AtomSet([x, y])
-    assert s.remove(x1) == s

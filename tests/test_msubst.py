@@ -7,7 +7,6 @@ from nes import (
     Abs,
     App,
     Atom,
-    AtomSet,
     ESub,
     Var,
     aeq,
@@ -19,8 +18,7 @@ from nes import (
     render,
     swap,
 )
-from nes.term import _fv
-from strategies import atoms, terms
+from strategies import _free_by_scope_walk, atoms, terms
 
 x, y, z, w = Atom("x"), Atom("y"), Atom("z"), Atom("w")
 y0 = Atom("y", 0)
@@ -73,7 +71,7 @@ def _msubst_direct(t, u, x):
         return u if t.atom == x else t
     if isinstance(t, App):
         return App(_msubst_direct(t.fun, u, x), _msubst_direct(t.arg, u, x))
-    avoid = AtomSet(_fv(u) | _fv(t) | {x})
+    avoid = _free_by_scope_walk(u) | _free_by_scope_walk(t) | {x}
     if isinstance(t, Abs):
         if t.binder == x:
             return t
@@ -105,27 +103,14 @@ def test_matches_direct_definition_exhaustively(max_size, pool):
             assert msubst(t, u, a) == _msubst_direct(t, u, a), (render(t), render(u), a)
 
 
-def _free_by_scope_walk(t, bound):
-    # Independent free-variable computation: carry the bound names down.
-    if isinstance(t, Var):
-        return set() if t.atom in bound else {t.atom}
-    if isinstance(t, App):
-        return _free_by_scope_walk(t.fun, bound) | _free_by_scope_walk(t.arg, bound)
-    if isinstance(t, Abs):
-        return _free_by_scope_walk(t.body, bound | {t.binder})
-    return _free_by_scope_walk(t.body, bound | {t.binder}) | _free_by_scope_walk(
-        t.arg, bound
-    )
-
-
 def test_free_variable_soundness_brute_force():
     pool = (x, y)
     small = enumerate_terms(3, pool)
     replacements = [Var(y), App(Var(x), Var(y)), Abs(x, Var(z))]
     for t, u in itertools.product(small, replacements):
-        result_fv = _free_by_scope_walk(msubst(t, u, x), frozenset())
-        t_fv = _free_by_scope_walk(t, frozenset())
-        u_fv = _free_by_scope_walk(u, frozenset())
+        result_fv = _free_by_scope_walk(msubst(t, u, x))
+        t_fv = _free_by_scope_walk(t)
+        u_fv = _free_by_scope_walk(u)
         bound = (t_fv - {x}) | u_fv
         assert result_fv <= bound, render(t)
         if x in t_fv:

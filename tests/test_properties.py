@@ -227,7 +227,7 @@ def test_alpha_variant_and_not_free_are_sound(monkeypatch, pool):
         variant = properties._alpha_variant(d, t)
         assert aeq(variant, t)
         assert fv_nom(variant) == fv_nom(t)
-        properties._not_free(d, t)
+        properties._KINDS["not_free"](d, t)
     if pool == (x,):
         assert fallbacks > 0
 

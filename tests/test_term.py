@@ -8,7 +8,6 @@ from nes import (
     Abs,
     App,
     Atom,
-    AtomSet,
     ESub,
     Var,
     all_atoms,
@@ -20,8 +19,8 @@ from nes import (
     swap,
     vswap,
 )
-from nes.term import _free_and_occurring, _fv_and_atoms, free_in, permute
-from strategies import POOL, atoms, terms
+from nes.term import free_in, permute
+from strategies import POOL, _free_by_scope_walk, atoms, terms
 
 x, y, z, w = Atom("x"), Atom("y"), Atom("z"), Atom("w")
 
@@ -33,15 +32,15 @@ def test_size():
 
 
 def test_fv_nom():
-    assert fv_nom(Var(x)) == AtomSet([x])
-    assert fv_nom(Abs(x, App(Var(x), Var(y)))) == AtomSet([y])
-    assert fv_nom(ESub(Var(x), x, Var(y))) == AtomSet([y])
+    assert fv_nom(Var(x)) == frozenset([x])
+    assert fv_nom(Abs(x, App(Var(x), Var(y)))) == frozenset([y])
+    assert fv_nom(ESub(Var(x), x, Var(y))) == frozenset([y])
 
 
 def test_fv_nom_esub_argument_is_outside_the_binder():
     # the binder scopes over the body only
-    assert fv_nom(ESub(Var(x), x, Var(x))) == AtomSet([x])
-    assert fv_nom(ESub(App(Var(x), Var(z)), x, Var(y))) == AtomSet([y, z])
+    assert fv_nom(ESub(Var(x), x, Var(x))) == frozenset([x])
+    assert fv_nom(ESub(App(Var(x), Var(z)), x, Var(y))) == frozenset([y, z])
 
 
 def test_vswap():
@@ -59,8 +58,8 @@ def test_swap():
 
 
 def test_all_atoms_includes_binders():
-    assert all_atoms(Abs(x, Var(y))) == AtomSet([x, y])
-    assert all_atoms(ESub(Var(z), x, Var(y))) == AtomSet([x, y, z])
+    assert all_atoms(Abs(x, Var(y))) == frozenset([x, y])
+    assert all_atoms(ESub(Var(z), x, Var(y))) == frozenset([x, y, z])
 
 
 @pytest.mark.parametrize("junk", ["junk", None, App(Var(x), "junk"), Abs(x, 3)])
@@ -69,10 +68,22 @@ def test_all_atoms_rejects_non_terms(junk):
         all_atoms(junk)
 
 
+def _occurring_by_walk(t):
+    # Independent occurring-atom computation: every atom position, binders
+    # included.
+    if isinstance(t, Var):
+        return {t.atom}
+    if isinstance(t, App):
+        return _occurring_by_walk(t.fun) | _occurring_by_walk(t.arg)
+    if isinstance(t, Abs):
+        return {t.binder} | _occurring_by_walk(t.body)
+    return {t.binder} | _occurring_by_walk(t.body) | _occurring_by_walk(t.arg)
+
+
 def test_free_in_matches_fv_nom_exhaustively():
     for t in enumerate_terms(4, (x, y)):
-        free, occurring = _fv_and_atoms(t)
-        assert free == set(fv_nom(t)) and occurring == set(all_atoms(t))
+        free, occurring = _free_by_scope_walk(t), _occurring_by_walk(t)
+        assert fv_nom(t) == free and all_atoms(t) == occurring
         for a in (x, y, z):
             assert free_in(a, t) == (a in fv_nom(t))
 
@@ -186,14 +197,13 @@ def test_equality_is_structural_and_equal_terms_hash_equal():
 def test_kept_atom_sets_match_the_walks_cold_and_warm():
     for t in enumerate_terms(5, (x, y)):
         t = copy.deepcopy(t)  # no slot of it filled by an earlier term
-        free, occurring = _fv_and_atoms(t)
+        free, occurring = _free_by_scope_walk(t), _occurring_by_walk(t)
         for warm in (False, True):
             if type(t) is not Var:  # a leaf keeps nothing
                 assert (getattr(t, "_free", None) is not None) is warm
             assert [free_in(a, t) for a in (x, y, z)] == [a in free for a in (x, y, z)]
-            assert set(all_atoms(t)) == occurring
-            assert set(fv_nom(t)) == free
-            assert _free_and_occurring(t) == (free, occurring)
+            assert all_atoms(t) == occurring
+            assert fv_nom(t) == free
 
 
 def _subterms(t):
@@ -223,6 +233,26 @@ def test_msubst_keeps_no_atom_set_below_the_asked_node():
         if type(node) is not Var:  # a leaf keeps nothing
             assert getattr(node, "_free", None) is None, node
             assert getattr(node, "_atoms", None) is None, node
+
+
+def test_a_node_keeps_both_atom_sets_or_neither():
+    # each entry point on its own copy of the terms, so each one fills slots
+    asked_fv, asked_atoms, substituted = (
+        [copy.deepcopy(t) for t in enumerate_terms(4, (x, y))] for _ in range(3)
+    )
+    for t in asked_fv:
+        assert fv_nom(t) is fv_nom(t) or type(t) is Var  # a leaf keeps nothing
+    for t in asked_atoms:
+        assert all_atoms(t) is all_atoms(t) or type(t) is Var
+    renaming = Abs(y, App(Var(x), Var(y)))
+    results = [msubst(renaming, u, x) for u in substituted]
+    for t in [*asked_fv, *asked_atoms, *substituted, *results, renaming]:
+        for node in _subterms(t):
+            free, atoms = getattr(node, "_free", None), getattr(node, "_atoms", None)
+            assert (free is None) is (atoms is None), node
+            if atoms is not None:
+                assert free == _free_by_scope_walk(node), node
+                assert atoms == _occurring_by_walk(node), node
 
 
 def test_copies_are_equal_and_fields_are_read_only():
