@@ -84,8 +84,8 @@ def aeq(t1: Term, t2: Term) -> bool:
     Syntax-directed: variables by atom equality, applications component-wise,
     binder forms by direct body comparison when the binders coincide, and
     otherwise by ``x not free in the other body`` plus comparison against the
-    swapped body.  For explicit substitutions with distinct binders the
-    arguments are compared first (the cheaper premise).
+    swapped body.  For explicit substitutions the arguments, which sit
+    outside the binder, are compared first.
 
     The swaps on ``t2``'s side are not built: they are suspended in one
     permutation ``pi`` (and its inverse), composed one transposition per
@@ -106,19 +106,17 @@ def aeq(t1: Term, t2: Term) -> bool:
             return go(t1.fun, t2.fun, pi, inv) and go(t1.arg, t2.arg, pi, inv)
         if tp is not Abs and tp is not ESub:
             raise TypeError(f"not a term: {t1!r}")
-        x, b = t1.binder, t2.binder
-        y = pi.get(b, b) if pi else b  # the binder of pi . t2
-        if x is y:
-            if tp is Abs:
-                return go(t1.body, t2.body, pi, inv)
-            return go(t1.body, t2.body, pi, inv) and go(t1.arg, t2.arg, pi, inv)
         if tp is ESub and not go(t1.arg, t2.arg, pi, inv):
             return False
-        ix = inv.get(x, x)
-        if free_in(ix, t2.body):
-            return False
-        # the bodies compare under (y x) . pi
-        return go(t1.body, t2.body, {**pi, b: x, ix: y}, {**inv, x: b, y: ix})
+        x, b = t1.binder, t2.binder
+        y = pi.get(b, b) if pi else b  # the binder of pi . t2
+        if x is not y:
+            ix = inv.get(x, x)
+            if free_in(ix, t2.body):
+                return False
+            # the bodies compare under (y x) . pi
+            pi, inv = {**pi, b: x, ix: y}, {**inv, x: b, y: ix}
+        return go(t1.body, t2.body, pi, inv)
 
     return go(t1, t2, {}, {})
 

@@ -12,7 +12,9 @@ from typing import Container
 # A base is an ASCII identifier that does not end in a digit, so that the
 # display form "base + decimal index" can be decoded unambiguously.
 _BASE_RE = re.compile(r"[A-Za-z](?:[A-Za-z0-9]*[A-Za-z])?")
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+# A display form: a base, then an index with no leading zero, so that each
+# atom has exactly one spelling.
+_NAME_RE = re.compile(rf"({_BASE_RE.pattern})(0|[1-9][0-9]*)?")
 
 # Every atom ever built, keyed by (base, index).  Only valid atoms enter.
 _INTERNED: dict[tuple[str, int | None], Atom] = {}
@@ -65,13 +67,14 @@ class Atom:
 
 
 def parse_atom(text: str) -> Atom:
-    """Decode the display form of an atom: trailing digits are the index."""
-    if not _IDENT_RE.fullmatch(text):
+    """Decode the display form of an atom: trailing digits are the index.
+    An index of two or more digits may not start with ``0`` (``x01`` is no
+    atom's display form), so distinct names never alias one atom."""
+    m = _NAME_RE.fullmatch(text)
+    if m is None:
         raise ValueError(f"not a variable name: {text!r}")
-    stripped = text.rstrip("0123456789")
-    if stripped == text:
-        return Atom(text)
-    return Atom(stripped, int(text[len(stripped):]))
+    base, index = m.groups()
+    return Atom(base, None if index is None else int(index))
 
 
 def fresh(avoid: Container[Atom], hint: Atom) -> Atom:

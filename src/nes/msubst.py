@@ -48,42 +48,25 @@ def msubst(t: Term, u: Term, x: Atom) -> Term:
             raise TypeError(f"not a term: {t!r}")
         b = t.binder
         y = pi.get(b, b) if pi else b  # the binder of pi . t
-        if tp is Abs:
-            if y is x:
+        if y is x:
+            if tp is Abs:
                 return permute(pi, t)
-            # The avoid set is fv(u) | fv(t) | {x}; y itself is never free
-            # in its own abstraction and y != x here, so the hint y is
-            # accepted exactly when it avoids fv(u).  Materialize the set
-            # only when the hint fails.
-            if y not in fv_u:
-                return Abs(y, go(t.body, pi, inv))
-            avoid = _moved_fv(pi, t.body)
-            avoid.discard(y)
-        else:
-            if y is x:
-                return ESub(permute(pi, t.body), y, go(t.arg, pi, inv))
-            # y = pi(b) is free in pi . arg exactly when b is free in arg
-            if y not in fv_u and not free_in(b, t.arg):
-                return ESub(go(t.body, pi, inv), y, go(t.arg, pi, inv))
-            avoid = _moved_fv(pi, t.body)
-            avoid.discard(y)
-            avoid |= _moved_fv(pi, t.arg)
-        avoid |= fv_u
-        avoid.add(x)
-        z = fresh(avoid, y)
-        # the body is swap y z (pi . body) = ((y z) . pi) . body
-        iz = inv.get(z, z)
-        body = go(t.body, {**pi, b: z, iz: y}, {**inv, z: b, y: iz})
-        if tp is Abs:
-            return Abs(z, body)
-        return ESub(body, z, go(t.arg, pi, inv))
+            return ESub(permute(pi, t.body), y, go(t.arg, pi, inv))
+        # The avoid set is pi(fv(t)) | fv(u) | {x}.  y is not free in pi . t
+        # and is not x, so the hint y is taken unless it is in fv(u) or, for
+        # an ESub, free in pi . arg (that is, b free in arg).  Only a failed
+        # hint builds the set, from one walk of the binder's own term.
+        z = y
+        if y in fv_u or tp is ESub and free_in(b, t.arg):
+            avoid = {pi.get(a, a) for a in _fv(t)[0]} | fv_u | {x}
+            z = fresh(avoid, y)
+        # the argument sits outside the binder, under the renamings above t
+        arg = go(t.arg, pi, inv) if tp is ESub else None
+        if z is not y:
+            # the body is swap y z (pi . body) = ((y z) . pi) . body
+            iz = inv.get(z, z)
+            pi, inv = {**pi, b: z, iz: y}, {**inv, z: b, y: iz}
+        body = go(t.body, pi, inv)
+        return Abs(z, body) if tp is Abs else ESub(body, z, arg)
 
     return go(t, {}, {})
-
-
-def _moved_fv(pi: dict[Atom, Atom], t: Term) -> set[Atom]:
-    # fv(pi . t) = pi(fv(t)), from t's node when kept there, else walked
-    # without storing: t is a subterm met on the way down
-    known = getattr(t, "_free", None)
-    free = _fv(t)[0] if known is None else set(known)
-    return {pi.get(a, a) for a in free} if pi else free

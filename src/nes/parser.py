@@ -11,10 +11,11 @@ Grammar (whitespace-insensitive between tokens)::
     atom  ::= name | '(' expr ')'
 
 ``name`` is ``[A-Za-z][A-Za-z0-9]*``; trailing digits form the atom's
-index, so ``y0`` is the atom with base ``y`` and index 0.  Binder forms
-(``\\x.``, ``[x := u]`` and ``{x := u}``) extend as far right as possible,
-so they need parentheses when used as applicands.  ``λ`` is the only
-non-ASCII token accepted.
+index, so ``y0`` is the atom with base ``y`` and index 0.  An index of two
+or more digits may not start with ``0``: no atom displays as ``x01``.
+Binder forms (``\\x.``, ``[x := u]`` and ``{x := u}``) extend as far right
+as possible, so they need parentheses when used as applicands.  ``λ`` is
+the only non-ASCII token accepted.
 
 A brace form ``{x := u} t`` denotes the substitution itself, carried out by
 :func:`eval_meta`; the bracket form builds a term and is not evaluated.
@@ -156,31 +157,40 @@ class _Parser:
             raise ParseError(tok.line, tok.column, (what,), tok.describe())
         return self.take()
 
+    def name(self) -> Atom:
+        tok = self.expect("name", "name")
+        try:
+            return parse_atom(tok.value)
+        except ValueError:  # an index with a leading zero
+            raise ParseError(
+                tok.line, tok.column, ("name without a leading zero in its index",),
+                tok.describe(),
+            ) from None
+
     def meta(self) -> MetaExpr:
         if self.peek().kind == "lbrace":
             self.take()
-            name = self.expect("name", "name")
+            var = self.name()
             self.expect("assign", "':='")
             arg = self.meta()
             self.expect("rbrace", "'}'")
-            target = self.meta()
-            return Meta(target, parse_atom(name.value), arg)
+            return Meta(self.meta(), var, arg)
         return Lit(self.expr(extra=("'{'",)))
 
     def expr(self, extra: tuple[str, ...] = ()) -> Term:
         tok = self.peek()
         if tok.kind == "lambda":
             self.take()
-            name = self.expect("name", "name")
+            binder = self.name()
             self.expect("dot", "'.'")
-            return Abs(parse_atom(name.value), self.expr())
+            return Abs(binder, self.expr())
         if tok.kind == "lbracket":
             self.take()
-            name = self.expect("name", "name")
+            binder = self.name()
             self.expect("assign", "':='")
             arg = self.expr()
             self.expect("rbracket", "']'")
-            return ESub(self.expr(), parse_atom(name.value), arg)
+            return ESub(self.expr(), binder, arg)
         if tok.kind in ("name", "lparen"):
             return self.app()
         raise ParseError(
@@ -196,9 +206,9 @@ class _Parser:
         return t
 
     def atom(self) -> Term:
-        tok = self.take()
-        if tok.kind == "name":
-            return Var(parse_atom(tok.value))
+        if self.peek().kind == "name":
+            return Var(self.name())
+        self.take()
         t = self.expr()
         self.expect("rparen", "')'")
         return t

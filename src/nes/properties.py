@@ -248,7 +248,7 @@ def _swap_out(t: Term, a: Atom) -> Term:
 def _not_free(
     d: _Draw,
     t: Term,
-    free: set[Atom],
+    free: frozenset[Atom],
     atoms: frozenset[Atom] | set[Atom],
 ) -> Atom:
     """An atom that is not free in ``t``: one of the pool or bound atoms
@@ -268,20 +268,13 @@ def _not_free(
     return fresh(atoms, d.config.atom_pool[0])
 
 
-def _free_and_all_atoms(t: Term) -> tuple[set[Atom], frozenset[Atom]]:
-    # Read through all_atoms and free_in rather than fv_nom, so the traced
-    # term.fv counters keep counting the laws' own free-atom queries only.
-    atoms = all_atoms(t)
-    return {a for a in atoms if free_in(a, t)}, atoms
-
-
 def _alpha_variant(d: _Draw, t: Term) -> Term:
     """Rename bound atoms of ``t`` by swapping atoms that are not free in
     it; the result is always alpha-equivalent to ``t``."""
     # Neither swapped atom is free in t, so its free atoms stay the same
     # and its occurring atoms map through the swap.  The swaps compose into
     # pi, a map from t's atoms to the variant's, applied once at the end.
-    free, atoms = _free_and_all_atoms(t)
+    free, atoms = fv_nom(t), all_atoms(t)
     pi = {a: a for a in atoms}
     for _ in range(1 + d.rng.below(3)):
         x = _not_free(d, t, free, atoms)
@@ -330,7 +323,7 @@ _KINDS: dict[str, Callable[[_Draw, object], object]] = {
     "swap_out": lambda d, s: _swap_out(d.term(), s),
     "variant": _alpha_variant,
     "variant_or_fresh": _variant_or_fresh,
-    "not_free": lambda d, s: _not_free(d, s, *_free_and_all_atoms(s)),
+    "not_free": lambda d, s: _not_free(d, s, fv_nom(s), all_atoms(s)),
 }
 
 

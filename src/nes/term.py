@@ -12,12 +12,13 @@ class _Node:
     slot descriptors; ``==`` and ``hash`` are structural and walk an
     explicit stack, so they work at any depth.
 
-    ``_free`` and ``_atoms`` are a node's free and occurring atoms as
-    frozensets.  ``Abs``, ``App`` and ``ESub`` keep them in slots that start
-    empty and are filled together, by one walk, only at a node asked
-    directly (``fv_nom``, ``all_atoms``, ``msubst``'s ``fv(u)``), never at
-    the subterms a traversal passes through; a ``Var`` builds its one-atom
-    set when asked and keeps nothing."""
+    ``Abs``, ``App`` and ``ESub`` keep their free and occurring atoms as
+    frozensets in ``_free``/``_atoms`` slots that start empty and are
+    filled together, by one walk, only at a node asked directly
+    (``fv_nom``, ``all_atoms``, ``msubst``'s ``fv(u)``), never at the
+    subterms a traversal passes through: a forced rename in ``msubst``
+    walks the binder's own term once and keeps nothing.  A ``Var`` keeps
+    nothing either; only this module reads or fills the slots."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -51,12 +52,6 @@ class Var(_Node):
 
     def __init__(self, atom: Atom) -> None:
         _set_atom(self, atom)
-
-    @property
-    def _free(self) -> frozenset[Atom]:
-        return frozenset((self.atom,))
-
-    _atoms = _free
 
 
 class Abs(_Node):
@@ -176,10 +171,10 @@ def size(t: Term) -> int:
     return n
 
 
-def _fv(t: Term) -> tuple[set[Atom], set[Atom]]:
+def _fv(t: Term) -> tuple[set[Atom], dict[Atom, int]]:
     # One pass with shadow counts per atom: entries on the stack are either
     # a term to visit or (atom,) marking the end of that binder's scope.
-    # Returns the free atoms and every occurring atom, binders included.
+    # Returns the free atoms and the binders (the shadow map's keys).
     free: set[Atom] = set()
     shadow: dict[Atom, int] = {}
     stack: list = [t]
@@ -204,18 +199,22 @@ def _fv(t: Term) -> tuple[set[Atom], set[Atom]]:
             shadow[node[0]] -= 1
         else:
             raise TypeError(f"not a term: {node!r}")
-    # shadow's keys are the binders, and an atom of a Var that is not free is
-    # bound, so the two cover every occurring atom
-    return free, free.union(shadow)
+    return free, shadow
 
 
 def _free_and_occurring(t: Term) -> tuple[frozenset[Atom], frozenset[Atom]]:
-    """``t``'s free and occurring atoms, kept on its node (one walk fills
-    both slots, so a node keeps both sets or neither)."""
+    """``t``'s free and occurring atoms, kept on a compound node (one walk
+    fills both slots, so it keeps both sets or neither)."""
+    if type(t) is Var:
+        atoms = frozenset((t.atom,))
+        return atoms, atoms
     atoms = getattr(t, "_atoms", None)
     if atoms is None:
-        free, atoms = map(frozenset, _fv(t))
-        object.__setattr__(t, "_free", free)
+        free, binders = _fv(t)
+        # an atom of a Var that is not free is bound, so the free atoms and
+        # the binders cover every occurring atom
+        atoms = frozenset(free.union(binders))
+        object.__setattr__(t, "_free", frozenset(free))
         object.__setattr__(t, "_atoms", atoms)
     return t._free, atoms
 

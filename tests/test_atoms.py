@@ -82,6 +82,16 @@ def test_atoms_are_interned():
 
 
 def test_parse_atom_rejects_non_identifiers():
-    for bad in ("", " x", "x y", "0", "x-"):
+    for bad in ("", " x", "x y", "0", "x-", "x01", "x001", "x00"):
         with pytest.raises(ValueError):
             parse_atom(bad)
+
+
+# Every identifier either is no atom's display form or is exactly one.
+@given(st.from_regex(r"[A-Za-z][A-Za-z0-9]*", fullmatch=True))
+def test_parse_atom_reads_only_display_forms(text):
+    try:
+        atom = parse_atom(text)
+    except ValueError:
+        return
+    assert str(atom) == text

@@ -1,3 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import nes.cli as cli
@@ -92,6 +98,54 @@ def test_bad_atom_argument_is_status_2(capsys):
     code, _, err = run(capsys, "swap", "not an atom", "y", "x")
     assert code == 2
     assert "not an atom" in err
+
+
+def test_leading_zero_index_is_status_2(capsys):
+    code, out, err = run(capsys, "aeq", "\\x01. x1", "\\y. y")
+    assert (code, out) == (2, "")
+    assert "1:2" in err and "'x01'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, status, out",
+    [
+        (["aeq", "\\x. x", "\\y. y"], 0, "true\n"),
+        (["aeq", "\\x. x", "y"], 1, "false\n"),
+        (["parse", "(x"], 2, ""),
+    ],
+    ids=["true", "false", "bad-input"],
+)
+def test_python_dash_m_nes_passes_the_exit_status_through(argv, status, out):
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "nes", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout) == (status, out), result.stderr
+
+
+# Pins the whole tsv report: any change to what a seed draws, to a law, or
+# to a fresh name msubst picks shows here.
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        (
+            ["--cases", "400", "--seed", "7", "--max-size", "15"],
+            "f0f2b8db9d6b9ae006c5fb4d892403e913c330adbcf220149f618f8d0bf7d80e",
+        ),
+        (
+            ["--cases", "300", "--pool", "x"],
+            "304f0e083e01285179553adc60dc0d6d48594eb6abe410ada902ea771a70be5e",
+        ),
+    ],
+    ids=["seed-7-size-15", "pool-x"],
+)
+def test_check_tsv_output_is_pinned(capsys, flags, digest):
+    code, out, err = run(capsys, "check", "--format", "tsv", *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_check_single_lemma_text(capsys):

@@ -91,6 +91,13 @@ def test_parse_error_cases():
             parse(bad)
 
 
+def test_parse_error_leading_zero_index_at_the_name():
+    with pytest.raises(ParseError) as info:
+        parse("\\x1.\n  x01")
+    assert (info.value.line, info.value.column) == (2, 3)
+    assert "name 'x01'" in str(info.value)
+
+
 def test_parse_error_trailing_input():
     with pytest.raises(ParseError) as info:
         parse("x \\y. y z )")
