@@ -3,42 +3,64 @@ nameless (index-based) normal form used to cross-check it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .atoms import Atom
-from .term import Abs, App, ESub, Term, Var, free_in
+from .term import Abs, App, ESub, Term, Var, _Record, free_in
 
 
-@dataclass(frozen=True, slots=True)
-class BVar:
+class BVar(_Record):
+    __slots__ = __match_args__ = ("index",)
     index: int
 
+    def __init__(self, index: int) -> None:
+        _set_index(self, index)
 
-@dataclass(frozen=True, slots=True)
-class FVar:
+
+class FVar(_Record):
+    __slots__ = __match_args__ = ("atom",)
     atom: Atom
 
+    def __init__(self, atom: Atom) -> None:
+        _set_atom(self, atom)
 
-@dataclass(frozen=True, slots=True)
-class CLam:
+
+class CLam(_Record):
+    __slots__ = __match_args__ = ("body",)
     body: "CanonicalTerm"
 
+    def __init__(self, body: "CanonicalTerm") -> None:
+        _set_lam_body(self, body)
 
-@dataclass(frozen=True, slots=True)
-class CApp:
+
+class CApp(_Record):
+    __slots__ = __match_args__ = ("fun", "arg")
     fun: "CanonicalTerm"
     arg: "CanonicalTerm"
 
+    def __init__(self, fun: "CanonicalTerm", arg: "CanonicalTerm") -> None:
+        _set_fun(self, fun)
+        _set_app_arg(self, arg)
 
-@dataclass(frozen=True, slots=True)
-class CSub:
+
+class CSub(_Record):
     """Nameless explicit substitution: ``body`` sits under one binder,
     ``arg`` does not."""
 
+    __slots__ = __match_args__ = ("body", "arg")
     body: "CanonicalTerm"
     arg: "CanonicalTerm"
 
+    def __init__(self, body: "CanonicalTerm", arg: "CanonicalTerm") -> None:
+        _set_sub_body(self, body)
+        _set_sub_arg(self, arg)
+
+
+_set_index, _set_atom, _set_lam_body = (
+    BVar.index.__set__, FVar.atom.__set__, CLam.body.__set__
+)
+_set_fun, _set_app_arg = CApp.fun.__set__, CApp.arg.__set__
+_set_sub_body, _set_sub_arg = CSub.body.__set__, CSub.arg.__set__
 
 CanonicalTerm = Union[BVar, FVar, CLam, CApp, CSub]
 

@@ -23,12 +23,11 @@ A brace form ``{x := u} t`` denotes the substitution itself, carried out by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .atoms import Atom, parse_atom
 from .msubst import msubst
-from .term import Abs, App, ESub, Term, Var
+from .term import Abs, App, ESub, Term, Var, _Record
 
 
 class ParseError(Exception):
@@ -45,36 +44,39 @@ class ParseError(Exception):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Lit:
+class Lit(_Record):
+    __slots__ = __match_args__ = ("term",)
     term: Term
 
+    def __init__(self, term: Term) -> None:
+        _set_term(self, term)
 
-@dataclass(frozen=True, slots=True)
-class Meta:
+
+_set_term = Lit.term.__set__
+
+
+class Meta(_Record):
     """``{var := arg} target``, evaluated by :func:`eval_meta`."""
 
+    __slots__ = __match_args__ = ("target", "var", "arg")
     target: "MetaExpr"
     var: Atom
     arg: "MetaExpr"
 
+    def __init__(self, target: "MetaExpr", var: Atom, arg: "MetaExpr") -> None:
+        super().__init__(target, var, arg)
+
 
 MetaExpr = Union[Lit, Meta]
 
+# (kind, text, line, column)
+_Token = tuple[str, str, int, int]
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    value: str
-    line: int
-    column: int
 
-    def describe(self) -> str:
-        if self.kind == "name":
-            return f"name {self.value!r}"
-        if self.kind == "end":
-            return "end of input"
-        return f"{self.value!r}"
+def _unexpected(tok: _Token, expected: tuple[str, ...]) -> ParseError:
+    kind, value, line, column = tok
+    found = {"name": f"name {value!r}", "end": "end of input"}.get(kind, repr(value))
+    return ParseError(line, column, expected, found)
 
 
 _SINGLE = {
@@ -109,18 +111,18 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         if c == "\\" or c == "λ":
-            tokens.append(_Token("lambda", c, line, column))
+            tokens.append(("lambda", c, line, column))
             column += 1
             i += 1
             continue
         if c in _SINGLE:
-            tokens.append(_Token(_SINGLE[c], c, line, column))
+            tokens.append((_SINGLE[c], c, line, column))
             column += 1
             i += 1
             continue
         if c == ":":
             if i + 1 < n and text[i + 1] == "=":
-                tokens.append(_Token("assign", ":=", line, column))
+                tokens.append(("assign", ":=", line, column))
                 column += 2
                 i += 2
                 continue
@@ -129,12 +131,12 @@ def _tokenize(text: str) -> list[_Token]:
             j = i + 1
             while j < n and text[j].isascii() and text[j].isalnum():
                 j += 1
-            tokens.append(_Token("name", text[i:j], line, column))
+            tokens.append(("name", text[i:j], line, column))
             column += j - i
             i = j
             continue
         raise ParseError(line, column, _ALL_TOKENS, repr(c))
-    tokens.append(_Token("end", "", line, column))
+    tokens.append(("end", "", line, column))
     return tokens
 
 
@@ -153,22 +155,20 @@ class _Parser:
 
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.line, tok.column, (what,), tok.describe())
+        if tok[0] != kind:
+            raise _unexpected(tok, (what,))
         return self.take()
 
     def name(self) -> Atom:
         tok = self.expect("name", "name")
         try:
-            return parse_atom(tok.value)
+            return parse_atom(tok[1])
         except ValueError:  # an index with a leading zero
-            raise ParseError(
-                tok.line, tok.column, ("name without a leading zero in its index",),
-                tok.describe(),
-            ) from None
+            expected = ("name without a leading zero in its index",)
+            raise _unexpected(tok, expected) from None
 
     def meta(self) -> MetaExpr:
-        if self.peek().kind == "lbrace":
+        if self.peek()[0] == "lbrace":
             self.take()
             var = self.name()
             self.expect("assign", "':='")
@@ -178,35 +178,31 @@ class _Parser:
         return Lit(self.expr(extra=("'{'",)))
 
     def expr(self, extra: tuple[str, ...] = ()) -> Term:
-        tok = self.peek()
-        if tok.kind == "lambda":
+        kind = self.peek()[0]
+        if kind == "lambda":
             self.take()
             binder = self.name()
             self.expect("dot", "'.'")
             return Abs(binder, self.expr())
-        if tok.kind == "lbracket":
+        if kind == "lbracket":
             self.take()
             binder = self.name()
             self.expect("assign", "':='")
             arg = self.expr()
             self.expect("rbracket", "']'")
             return ESub(self.expr(), binder, arg)
-        if tok.kind in ("name", "lparen"):
+        if kind in ("name", "lparen"):
             return self.app()
-        raise ParseError(
-            tok.line, tok.column,
-            ("name", "'('", "'\\'", "'['") + extra,
-            tok.describe(),
-        )
+        raise _unexpected(self.peek(), ("name", "'('", "'\\'", "'['") + extra)
 
     def app(self) -> Term:
         t = self.atom()
-        while self.peek().kind in ("name", "lparen"):
+        while self.peek()[0] in ("name", "lparen"):
             t = App(t, self.atom())
         return t
 
     def atom(self) -> Term:
-        if self.peek().kind == "name":
+        if self.peek()[0] == "name":
             return Var(self.name())
         self.take()
         t = self.expr()
@@ -220,8 +216,8 @@ def parse(text: str) -> MetaExpr:
     parser = _Parser(_tokenize(text))
     out = parser.meta()
     tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(tok.line, tok.column, ("end of input",), tok.describe())
+    if tok[0] != "end":
+        raise _unexpected(tok, ("end of input",))
     return out
 
 

@@ -11,7 +11,6 @@ so a broken repair fails loudly instead of weakening the law.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .alpha import aeq, canonicalize
@@ -23,6 +22,7 @@ from .term import (
     ESub,
     Term,
     Var,
+    _Record,
     all_atoms,
     free_in,
     fv_nom,
@@ -88,42 +88,63 @@ def _mix(a: int, b: int) -> int:
     return _Stream((a * 0x9E3779B97F4A7C15 + b - 0x9E3779B97F4A7C15) & _M64).next64()
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(_Record):
     """Parameters for term generation and law checking.
 
     A config memoises the terms ``gen_term`` draws from it, below a node
     budget, so every law checked on one config object shares one
     generation; the memo takes no part in ``==``, ``hash`` or ``repr``, and
-    ``dataclasses.replace`` starts a new, empty one."""
+    ``replace`` starts a new, empty one."""
 
-    max_size: int = 20
-    atom_pool: tuple[Atom, ...] = DEFAULT_POOL
-    seed: int = 0
-    cases: int = 10_000
-    _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("max_size", "atom_pool", "seed", "cases", "_terms")
+    __match_args__ = ("max_size", "atom_pool", "seed", "cases")
+    max_size: int
+    atom_pool: tuple[Atom, ...]
+    seed: int
+    cases: int
+    _terms: dict
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atom_pool", tuple(self.atom_pool))
-        if self.max_size < 1:
+    def __init__(
+        self,
+        max_size: int = 20,
+        atom_pool: Iterable[Atom] = DEFAULT_POOL,
+        seed: int = 0,
+        cases: int = 10_000,
+    ) -> None:
+        atom_pool = tuple(atom_pool)
+        if max_size < 1:
             raise ValueError("max_size must be at least 1")
-        if not self.atom_pool:
+        if not atom_pool:
             raise ValueError("atom_pool must be nonempty")
-        if not 0 <= self.seed <= _M64:
+        if not 0 <= seed <= _M64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.cases < 1:
+        if cases < 1:
             raise ValueError("cases must be at least 1")
+        super().__init__(max_size, atom_pool, seed, cases)
+        object.__setattr__(self, "_terms", {})
+
+    def replace(self, **changes: object) -> GenConfig:
+        """A config with ``changes`` to its fields, validated as a new one
+        is, and with an empty memo."""
+        fields = {f: getattr(self, f) for f in self.__match_args__}
+        return GenConfig(**{**fields, **changes})
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(_Record):
     """Outcome of checking one named law."""
 
+    __slots__ = __match_args__ = (
+        "name", "cases_run", "failures", "seed", "counterexample"
+    )
     name: str
     cases_run: int
     failures: int
     seed: int
-    counterexample: tuple[tuple[str, str], ...] | None = None
+    counterexample: tuple[tuple[str, str], ...] | None
+
+    def __init__(self, name: str, cases_run: int, failures: int, seed: int,
+                 counterexample: tuple[tuple[str, str], ...] | None = None) -> None:
+        super().__init__(name, cases_run, failures, seed, counterexample)
 
     def tsv_lines(self) -> list[str]:
         lines = [f"{self.name}\t{self.cases_run}\t{self.failures}\t{self.seed}"]
@@ -306,11 +327,15 @@ def _pick_avoiding(d: _Draw, avoid: frozenset[Atom]) -> Atom:
 # The catalogue
 
 
-@dataclass(frozen=True)
-class _Prop:
+class _Prop(_Record):
+    __slots__ = __match_args__ = ("draw", "body", "pre")
     draw: Callable[[_Draw], dict]
     body: Callable[..., bool]
-    pre: Callable[..., bool] | None = None
+    pre: Callable[..., bool] | None
+
+    def __init__(self, draw: Callable[[_Draw], dict], body: Callable[..., bool],
+                 pre: Callable[..., bool] | None = None) -> None:
+        super().__init__(draw, body, pre)
 
 
 # Signature kinds: each draws one input of a case from ``d`` and the earlier

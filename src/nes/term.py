@@ -2,15 +2,64 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Union
 
 from .atoms import Atom
 
 
-class _Node:
-    """What the four term classes share.  Fields are set once, through the
-    slot descriptors; ``==`` and ``hash`` are structural and walk an
-    explicit stack, so they work at any depth.
+class _Record:
+    """The base of every record class in ``nes``: an immutable object whose
+    fields are its ``__slots__`` named, in order, by ``__match_args__``.
+
+    Those fields drive ``match`` patterns, a ``repr`` that names them
+    (``Var(atom=Atom('x'))``), copying and pickling (``__reduce__`` calls
+    the class again with them), and field-wise ``==`` and ``hash`` among
+    records of one class.  A slot outside ``__match_args__``, such as a
+    cache, takes no part in any of this.
+
+    Assigning or deleting an attribute raises ``AttributeError``, so an
+    ``__init__`` sets each field once: a class built by the thousand
+    through its slot descriptors' setters (``Var.atom.__set__``), which
+    cost less than a loop over the fields, and any other through this
+    ``__init__``."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls.__match_args__:
+            cls._values = attrgetter(*cls.__match_args__)
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (type(self), tuple(getattr(self, f) for f in self.__match_args__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+
+class _Node(_Record):
+    """What the four term classes share: ``==`` and ``hash`` are structural
+    and walk an explicit stack, so they work at any depth.
 
     ``Abs``, ``App`` and ``ESub`` keep their free and occurring atoms as
     frozensets in ``_free``/``_atoms`` slots that start empty and are
@@ -21,20 +70,6 @@ class _Node:
     nothing either; only this module reads or fills the slots."""
 
     __slots__ = ()
-    __match_args__: tuple[str, ...] = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("terms are immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("terms are immutable")
-
-    def __reduce__(self) -> tuple:
-        return (type(self), tuple(getattr(self, f) for f in self.__match_args__))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

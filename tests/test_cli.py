@@ -126,6 +126,23 @@ def test_python_dash_m_nes_passes_the_exit_status_through(argv, status, out):
     assert (result.returncode, result.stdout) == (status, out), result.stderr
 
 
+def test_cold_import_leaves_out_dataclasses_and_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: most of a cold
+    # start's import time
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, nes.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
 # Pins the whole tsv report: any change to what a seed draws, to a law, or
 # to a fresh name msubst picks shows here.
 @pytest.mark.parametrize(

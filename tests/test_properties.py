@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import zlib
 
@@ -69,8 +68,10 @@ def test_replaced_config_starts_an_empty_memo():
     cfg = GenConfig(max_size=15, seed=1)
     for pos in range(50):
         gen_term(cfg, pos)
-    other = dataclasses.replace(cfg, seed=2)
+    other = cfg.replace(seed=2)
     assert other._terms == {}
+    with pytest.raises(ValueError):
+        cfg.replace(seed=-1)
     fresh_cfg = GenConfig(max_size=15, seed=2)
     assert [gen_term(other, p) for p in range(50)] == [
         gen_term(fresh_cfg, p) for p in range(50)

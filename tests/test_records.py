@@ -1,0 +1,157 @@
+"""What the record classes promise: exact repr, field-wise == and hash
+that respect the class, read-only fields, copies, and match patterns."""
+
+import copy
+import pickle
+
+import pytest
+
+from nes import (
+    Atom,
+    BVar,
+    CApp,
+    CLam,
+    CSub,
+    FVar,
+    GenConfig,
+    Lit,
+    Meta,
+    PropertyReport,
+    Var,
+    gen_term,
+)
+
+x, y = Atom("x"), Atom("y")
+
+# (record, its repr, an equal record built separately)
+RECORDS = [
+    (BVar(0), "BVar(index=0)", BVar(0)),
+    (FVar(x), "FVar(atom=Atom('x'))", FVar(x)),
+    (CLam(BVar(0)), "CLam(body=BVar(index=0))", CLam(BVar(0))),
+    (
+        CApp(FVar(x), BVar(1)),
+        "CApp(fun=FVar(atom=Atom('x')), arg=BVar(index=1))",
+        CApp(FVar(x), BVar(1)),
+    ),
+    (
+        CSub(BVar(0), FVar(x)),
+        "CSub(body=BVar(index=0), arg=FVar(atom=Atom('x')))",
+        CSub(BVar(0), FVar(x)),
+    ),
+    (Lit(Var(x)), "Lit(term=Var(atom=Atom('x')))", Lit(Var(x))),
+    (
+        Meta(Lit(Var(x)), y, Lit(Var(y))),
+        "Meta(target=Lit(term=Var(atom=Atom('x'))), var=Atom('y'), "
+        "arg=Lit(term=Var(atom=Atom('y'))))",
+        Meta(Lit(Var(x)), y, Lit(Var(y))),
+    ),
+    (
+        GenConfig(max_size=3, atom_pool=[x, y], seed=5, cases=7),
+        "GenConfig(max_size=3, atom_pool=(Atom('x'), Atom('y')), seed=5, cases=7)",
+        GenConfig(max_size=3, atom_pool=(x, y), seed=5, cases=7),
+    ),
+    (
+        PropertyReport("law", 10, 1, 0, (("t", "x"),)),
+        "PropertyReport(name='law', cases_run=10, failures=1, seed=0, "
+        "counterexample=(('t', 'x'),))",
+        PropertyReport(name="law", cases_run=10, failures=1, seed=0,
+                       counterexample=(("t", "x"),)),
+    ),
+]
+IDS = [type(r).__name__ for r, _, _ in RECORDS]
+
+
+@pytest.mark.parametrize("record, text, twin", RECORDS, ids=IDS)
+def test_repr_eq_and_hash(record, text, twin):
+    assert repr(record) == text
+    assert record is not twin and record == twin and not record != twin
+    assert hash(record) == hash(twin)
+    assert record != object() and record != text
+
+
+@pytest.mark.parametrize("record, text, twin", RECORDS, ids=IDS)
+def test_fields_are_read_only(record, text, twin):
+    for field in record.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert record == twin
+
+
+@pytest.mark.parametrize("record, text, twin", RECORDS, ids=IDS)
+def test_copies_round_trip(record, text, twin):
+    for copied in (copy.copy(record), copy.deepcopy(record),
+                   pickle.loads(pickle.dumps(record))):
+        assert type(copied) is type(record)
+        assert copied == record and hash(copied) == hash(record)
+        assert repr(copied) == text
+
+
+def test_equality_respects_the_class():
+    a, b = FVar(x), BVar(0)
+    assert CApp(a, b) != CSub(a, b) and CSub(a, b) != CApp(a, b)
+    assert BVar(0) != FVar(x) and FVar(x) != BVar(0)
+    assert CLam(a) != Lit(a)
+    assert BVar(0) != BVar(1) and CApp(a, b) != CApp(b, a)
+    assert len({CApp(a, b), CSub(a, b), CApp(a, b)}) == 2
+    report = PropertyReport("law", 10, 1, 0)
+    assert report.counterexample is None
+    assert report != PropertyReport("law", 10, 2, 0)
+
+
+def _shape(c) -> str:
+    match c:
+        case BVar(0):
+            return "innermost"
+        case BVar(k):
+            return f"bound {k}"
+        case FVar(a):
+            return f"free {a}"
+        case CLam(CApp(fun, BVar(0))):
+            return f"eta-like over {_shape(fun)}"
+        case CLam(body):
+            return f"lambda of {_shape(body)}"
+        case CApp(fun, arg):
+            return f"{_shape(fun)} applied to {_shape(arg)}"
+        case CSub(body, arg):
+            return f"{_shape(body)} where {_shape(arg)}"
+    return "other"
+
+
+def test_match_patterns():
+    assert _shape(CLam(CApp(FVar(x), BVar(0)))) == "eta-like over free x"
+    assert _shape(CLam(BVar(2))) == "lambda of bound 2"
+    assert _shape(CSub(BVar(0), CApp(FVar(y), BVar(1)))) == (
+        "innermost where free y applied to bound 1"
+    )
+    assert _shape(Lit(Var(x))) == "other"
+    match Meta(Lit(Var(x)), y, Lit(Var(y))):
+        case Meta(Lit(Var(a)), v, Lit(Var(b))):
+            assert (a, v, b) == (x, y, y)
+        case _:
+            pytest.fail("Meta pattern did not match")
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(max_size=0), "max_size must be at least 1"),
+        (dict(atom_pool=[]), "atom_pool must be nonempty"),
+        (dict(seed=1 << 64), "seed must fit in 64 unsigned bits"),
+        (dict(cases=0), "cases must be at least 1"),
+    ],
+)
+def test_genconfig_validation_messages(bad, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GenConfig(**bad)
+
+
+def test_genconfig_memo_takes_no_part_in_eq_hash_or_repr():
+    cfg, empty = GenConfig(max_size=6, seed=3), GenConfig(max_size=6, seed=3)
+    for pos in range(20):
+        gen_term(cfg, pos)
+    assert len(cfg._terms) == 20 and empty._terms == {}
+    assert cfg == empty and hash(cfg) == hash(empty)
+    assert repr(cfg) == repr(empty) and "_terms" not in repr(cfg)
+    assert cfg != GenConfig(max_size=6, seed=4)
