@@ -81,8 +81,10 @@ def fresh(avoid: Container[Atom], hint: Atom) -> Atom:
     """The first atom not in ``avoid``: the hint itself, then the hint's
     base with indices 0, 1, 2, ... in order.
 
-    Total and deterministic; the indices are unbounded so some candidate is
-    always free.
+    ``avoid`` is anything that answers ``in``: a set, a tuple, or an object
+    whose ``__contains__`` decides membership without building a set (as
+    ``msubst`` does).  Total and deterministic; the indices are unbounded so
+    some candidate is always free.
     """
     if hint not in avoid:
         return hint

@@ -14,7 +14,10 @@ atoms of ``u``, the free atoms of the binder's own term, and ``x``:
                                                       (x != y, z fresh)
 
 Fresh names come from :func:`nes.atoms.fresh` with the original binder as
-the hint, so the result is a pure function of the inputs.  The recursion
+the hint, so the result is a pure function of the inputs.  The avoid set is
+never built: ``fresh`` asks each candidate's membership of a predicate that
+reads ``fv(u)``, compares with ``x`` and asks ``free_in`` of the binder's
+own term, which stops at the first free occurrence.  The recursion
 terminates because swapping preserves size, so every call strictly
 decreases it.
 
@@ -27,7 +30,22 @@ left alone under ``x``'s own binder is permuted once, in one pass).
 from __future__ import annotations
 
 from .atoms import Atom, fresh
-from .term import Abs, App, ESub, Term, Var, _fv, free_in, fv_nom, permute
+from .term import Abs, App, ESub, Term, Var, free_in, fv_nom, permute
+
+
+class _Avoid:
+    """The avoid set ``pi(fv(t)) | fv(u) | {x}`` of a forced rename, asked
+    one candidate at a time: ``c = pi(a)`` exactly when ``a = inv(c)``, so
+    ``c`` is in ``pi(fv(t))`` exactly when ``inv(c)`` is free in ``t``."""
+
+    __slots__ = ("fv_u", "x", "t", "inv")
+
+    def __init__(self, fv_u: frozenset[Atom], x: Atom, t: Term,
+                 inv: dict[Atom, Atom]) -> None:
+        self.fv_u, self.x, self.t, self.inv = fv_u, x, t, inv
+
+    def __contains__(self, c: Atom) -> bool:
+        return c in self.fv_u or c is self.x or free_in(self.inv.get(c, c), self.t)
 
 
 def msubst(t: Term, u: Term, x: Atom) -> Term:
@@ -55,11 +73,10 @@ def msubst(t: Term, u: Term, x: Atom) -> Term:
         # The avoid set is pi(fv(t)) | fv(u) | {x}.  y is not free in pi . t
         # and is not x, so the hint y is taken unless it is in fv(u) or, for
         # an ESub, free in pi . arg (that is, b free in arg).  Only a failed
-        # hint builds the set, from one walk of the binder's own term.
+        # hint asks fresh, which probes the set through _Avoid.
         z = y
         if y in fv_u or tp is ESub and free_in(b, t.arg):
-            avoid = {pi.get(a, a) for a in _fv(t)[0]} | fv_u | {x}
-            z = fresh(avoid, y)
+            z = fresh(_Avoid(fv_u, x, t, inv), y)
         # the argument sits outside the binder, under the renamings above t
         arg = go(t.arg, pi, inv) if tp is ESub else None
         if z is not y:

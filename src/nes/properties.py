@@ -52,8 +52,22 @@ _ENTRY_NODES = 12
 _MEMO_NODES = 4 * 10_000 * (20 + _ENTRY_NODES)
 
 
+# splitmix64 (Steele, Lea & Flood, "Fast Splittable Pseudorandom Number
+# Generators", OOPSLA 2014): the state steps by the golden gamma, and each
+# output is the state through this finalizer.
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _finalize(c: int) -> int:
+    c ^= c >> 30
+    c = (c * 0xBF58476D1CE4E5B9) & _M64
+    c ^= c >> 27
+    c = (c * 0x94D049BB133111EB) & _M64
+    return c ^ (c >> 31)
+
+
 class _Stream:
-    """Deterministic 64-bit random stream (splitmix-style counter).
+    """Deterministic 64-bit random stream: splitmix64 from a given state.
 
     Much cheaper to fork per case than reseeding a Mersenne generator, and
     its output is a pure function of the initial state.
@@ -65,12 +79,8 @@ class _Stream:
         self._counter = state
 
     def next64(self) -> int:
-        self._counter = c = (self._counter + 0x9E3779B97F4A7C15) & _M64
-        c ^= c >> 30
-        c = (c * 0xBF58476D1CE4E5B9) & _M64
-        c ^= c >> 27
-        c = (c * 0x94D049BB133111EB) & _M64
-        return c ^ (c >> 31)
+        self._counter = c = (self._counter + _GAMMA) & _M64
+        return _finalize(c)
 
     def below(self, n: int) -> int:
         return self.next64() % n
@@ -83,9 +93,9 @@ class _Stream:
 
 
 def _mix(a: int, b: int) -> int:
-    # splitmix64 over the combine a * golden + b (next64 adds the golden
-    # step first); keeps streams independent without salted hashing
-    return _Stream((a * 0x9E3779B97F4A7C15 + b - 0x9E3779B97F4A7C15) & _M64).next64()
+    # the first output of a stream started at a * gamma + b - gamma; keeps
+    # streams independent without salted hashing
+    return _finalize((a * _GAMMA + b) & _M64)
 
 
 class GenConfig(_Record):
@@ -231,15 +241,22 @@ def enumerate_terms(max_size: int, pool: Sequence[Atom]) -> list[Term]:
 class _Draw:
     """Hands one case its random inputs.  Terms come from the shared
     generation stream (4 slots per case); atoms and coins come from a
-    per-(law, case) generator."""
+    per-(law, case) generator, seeded from the law's state, which is
+    computed once per law."""
 
     _STRIDE = 4
 
     def __init__(self, config: GenConfig, name_digest: int, case: int):
-        self.rng = _Stream(_mix(_mix(config.seed, name_digest), case))
         self.config = config
+        self._law = _mix(config.seed, name_digest)
+        self.start(case)
+
+    def start(self, case: int) -> _Draw:
+        """Move on to ``case``: its own atom stream and term slots."""
+        self.rng = _Stream(_mix(self._law, case))
         self._base = case * self._STRIDE
         self._slot = 0
+        return self
 
     def term(self) -> Term:
         t = gen_term(self.config, self._base + self._slot)
@@ -305,7 +322,8 @@ def _alpha_variant(d: _Draw, t: Term) -> Term:
             y = _not_free(d, t, free, atoms)
         pi = {a: vswap(x, y, b) for a, b in pi.items()}
         atoms = set(pi.values())
-    return permute(pi, t)
+    # only the atoms that move: a map that is the identity on t returns t
+    return permute({a: b for a, b in pi.items() if a is not b}, t)
 
 
 def _variant_or_fresh(d: _Draw, t: Term) -> Term:
@@ -590,11 +608,11 @@ def run_property(name: str, config: GenConfig) -> PropertyReport:
     prop = _CATALOGUE.get(name)
     if prop is None:
         raise UnknownPropertyError(name)
-    digest = zlib.crc32(name.encode())
     failures = 0
     first_failure: dict | None = None
+    d = _Draw(config, zlib.crc32(name.encode()), 0)
     for case in range(config.cases):
-        inputs = prop.draw(_Draw(config, digest, case))
+        inputs = prop.draw(d.start(case))
         if prop.pre is not None and not prop.pre(**inputs):
             raise RuntimeError(
                 f"input repair for {name} (case {case}) left its hypothesis unsatisfied"

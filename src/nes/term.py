@@ -66,8 +66,8 @@ class _Node(_Record):
     filled together, by one walk, only at a node asked directly
     (``fv_nom``, ``all_atoms``, ``msubst``'s ``fv(u)``), never at the
     subterms a traversal passes through: a forced rename in ``msubst``
-    walks the binder's own term once and keeps nothing.  A ``Var`` keeps
-    nothing either; only this module reads or fills the slots."""
+    asks ``free_in`` of the binder's own term and keeps nothing.  A ``Var``
+    keeps nothing either; only this module reads or fills the slots."""
 
     __slots__ = ()
 
@@ -170,14 +170,15 @@ def _equal(s: Term, t: Term) -> bool:
     return True
 
 
-def _hash(t: Term) -> int:
-    # The preorder of classes and atoms: each class fixes how many fields
-    # follow it, so equal terms, and only they, give equal tokens.
+def _hash(t: _Record) -> int:
+    # The preorder of record classes and the other values in their fields
+    # (atoms, for a term): each class fixes how many fields follow it, so
+    # equal records, and only they, give equal tokens.
     tokens: list = []
     stack = [t]
     while stack:
         node = stack.pop()
-        if isinstance(node, _Node):
+        if isinstance(node, _Record):
             tokens.append(type(node))
             stack.extend([getattr(node, f) for f in reversed(node.__match_args__)])
         else:

@@ -21,7 +21,7 @@ from nes import (
 from strategies import _free_by_scope_walk, atoms, terms
 
 x, y, z, w = Atom("x"), Atom("y"), Atom("z"), Atom("w")
-y0 = Atom("y", 0)
+y0, y1 = Atom("y", 0), Atom("y", 1)
 
 
 def test_var_cases():
@@ -93,8 +93,11 @@ def test_matches_direct_definition(t, u, a):
 
 
 # y0 is the first fresh name for y, so nested renames can pick a name that
-# an outer rename already moved.
-@pytest.mark.parametrize("max_size, pool", [(4, (x, y)), (3, (x, y, y0))])
+# an outer rename already moved.  With y1 in the pool too, a nested rename
+# must skip a candidate that is the image of an outer rename.
+@pytest.mark.parametrize(
+    "max_size, pool", [(4, (x, y)), (3, (x, y, y0)), (3, (x, y, y0, y1))]
+)
 def test_matches_direct_definition_exhaustively(max_size, pool):
     # Structural equality: every renamed binder must get the same fresh name.
     replacements = enumerate_terms(2, pool)

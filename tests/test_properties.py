@@ -1,4 +1,5 @@
 import hashlib
+import random
 import zlib
 
 import pytest
@@ -89,6 +90,33 @@ def test_gen_term_memo_is_bounded():
     assert len(cfg._terms) == limit
 
 
+_GAMMA, _M64 = 0x9E3779B97F4A7C15, (1 << 64) - 1
+
+
+def _splitmix64(state):
+    # the textbook generator: step the state by gamma, then mix it
+    while True:
+        state = (state + _GAMMA) & _M64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        yield z ^ (z >> 31)
+
+
+def test_stream_is_splitmix64():
+    rng = properties._Stream(0)
+    assert [rng.next64(), rng.next64()] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+    pick = random.Random(0)
+    for _ in range(10_000):
+        a, b = pick.getrandbits(64), pick.getrandbits(64)
+        # _mix(a, b) is the first output from the state a * gamma + b - gamma
+        start = (a * _GAMMA + b - _GAMMA) & _M64
+        assert properties._mix(a, b) == next(_splitmix64(start))
+    for state in (0, 1, _M64, pick.getrandbits(64)):
+        rng, textbook = properties._Stream(state), _splitmix64(state)
+        assert [rng.next64() for _ in range(8)] == [next(textbook) for _ in range(8)]
+
+
 def test_gen_term_single_leaf():
     cfg = GenConfig(max_size=1, atom_pool=(x,))
     assert gen_term(cfg, 0) == Var(x)
@@ -159,6 +187,18 @@ def test_drawn_inputs_are_pinned(pool, expected):
                 shown = str(value) if isinstance(value, Atom) else render(value)
                 h.update(f"{name}\t{key}\t{shown}\n".encode())
     assert h.hexdigest() == expected
+
+
+def test_a_draw_moved_to_a_case_draws_what_a_new_one_does():
+    # run_property seeds each law once and moves one _Draw from case to case
+    cfg = GenConfig(max_size=8)
+    for name in ("aeq_swap_swap", "m_subst_sub_neq", "aeq_m_subst_eq"):
+        prop, digest = properties._CATALOGUE[name], zlib.crc32(name.encode())
+        moved = properties._Draw(cfg, digest, 0)
+        for case in (3, 0, 41, 42):
+            assert prop.draw(moved.start(case)) == prop.draw(
+                properties._Draw(cfg, digest, case)
+            )
 
 
 def test_run_property_trivial_case():

@@ -155,3 +155,26 @@ def test_genconfig_memo_takes_no_part_in_eq_hash_or_repr():
     assert cfg == empty and hash(cfg) == hash(empty)
     assert repr(cfg) == repr(empty) and "_terms" not in repr(cfg)
     assert cfg != GenConfig(max_size=6, seed=4)
+
+
+def _lam_chain(n, leaf):
+    c = leaf
+    for _ in range(n):
+        c = CLam(c)
+    return c
+
+
+def _sub_app_spine(n, leaf):
+    c = FVar(x)
+    for _ in range(n):
+        c = CSub(CApp(c, BVar(0)), FVar(y))
+    return CApp(c, leaf)
+
+
+@pytest.mark.parametrize("build", [_lam_chain, _sub_app_spine])
+def test_nameless_equality_and_hash_are_stack_safe(build):
+    s, t, other = build(10**4, BVar(0)), build(10**4, BVar(0)), build(10**4, BVar(1))
+    assert s is not t
+    assert s == t and not (s != t)
+    assert s != other and not (s == other)
+    assert hash(s) == hash(t)
