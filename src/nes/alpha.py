@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Union
 
 from .atoms import Atom
-from .term import Abs, App, ESub, Term, Var, _hash, _Record, free_in
+from .term import Abs, App, ESub, Term, Var, _Record, free_in
 
 
 class BVar(_Record):
@@ -25,23 +25,7 @@ class FVar(_Record):
         _set_atom(self, atom)
 
 
-class _Nameless(_Record):
-    """The nameless records that hold records: ``==`` and ``hash`` are
-    structural and walk an explicit stack, as terms' do, so they work at
-    any depth.  ``repr`` still recurses."""
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return _equal(self, other)
-
-    def __hash__(self) -> int:
-        return _hash(self)
-
-
-class CLam(_Nameless):
+class CLam(_Record):
     __slots__ = __match_args__ = ("body",)
     body: "CanonicalTerm"
 
@@ -49,7 +33,7 @@ class CLam(_Nameless):
         _set_lam_body(self, body)
 
 
-class CApp(_Nameless):
+class CApp(_Record):
     __slots__ = __match_args__ = ("fun", "arg")
     fun: "CanonicalTerm"
     arg: "CanonicalTerm"
@@ -59,7 +43,7 @@ class CApp(_Nameless):
         _set_app_arg(self, arg)
 
 
-class CSub(_Nameless):
+class CSub(_Record):
     """Nameless explicit substitution: ``body`` sits under one binder,
     ``arg`` does not."""
 
@@ -81,27 +65,6 @@ _set_sub_body, _set_sub_arg = CSub.body.__set__, CSub.arg.__set__
 CanonicalTerm = Union[BVar, FVar, CLam, CApp, CSub]
 
 
-def _equal(s: CanonicalTerm, t: CanonicalTerm) -> bool:
-    # pairs still to compare; the leaves compare field-wise
-    stack = [(s, t)]
-    while stack:
-        a, b = stack.pop()
-        tp = type(a)
-        if tp is not type(b):
-            return False
-        if tp is CLam:
-            stack.append((a.body, b.body))
-        elif tp is CApp:
-            stack.append((a.arg, b.arg))
-            stack.append((a.fun, b.fun))
-        elif tp is CSub:
-            stack.append((a.arg, b.arg))
-            stack.append((a.body, b.body))
-        elif a != b:
-            return False
-    return True
-
-
 def canonicalize(t: Term) -> CanonicalTerm:
     """Replace bound atoms by binder-distance indices (innermost = 0).
 
@@ -116,7 +79,7 @@ def canonicalize(t: Term) -> CanonicalTerm:
         match t:
             case Var(a):
                 for i in range(len(bound) - 1, -1, -1):
-                    if bound[i] == a:
+                    if bound[i] is a:
                         return BVar(len(bound) - 1 - i)
                 return FVar(a)
             case Abs(x, body):

@@ -122,6 +122,12 @@ class GenConfig(_Record):
         cases: int = 10_000,
     ) -> None:
         atom_pool = tuple(atom_pool)
+        for name, value in (("max_size", max_size), ("seed", seed), ("cases", cases)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, not {type(value).__name__}")
+        for a in atom_pool:
+            if type(a) is not Atom:
+                raise ValueError(f"atom_pool must hold atoms, not {type(a).__name__}")
         if max_size < 1:
             raise ValueError("max_size must be at least 1")
         if not atom_pool:
@@ -269,7 +275,7 @@ class _Draw:
 
 def _distinct_from(a: Atom, b: Atom) -> Atom:
     """``b`` itself, or a deterministic replacement differing from ``a``."""
-    if b != a:
+    if b is not a:
         return b
     return fresh((a,), b)
 
@@ -283,16 +289,12 @@ def _swap_out(t: Term, a: Atom) -> Term:
     return swap(a, c, t)
 
 
-def _not_free(
-    d: _Draw,
-    t: Term,
-    free: frozenset[Atom],
-    atoms: frozenset[Atom] | set[Atom],
-) -> Atom:
-    """An atom that is not free in ``t``: one of the pool or bound atoms
-    when possible, otherwise a fresh one.  ``free`` and ``atoms`` stand for
-    ``t``'s free and occurring atoms (an alpha-variant drawer passes those
-    of the variant it has built so far)."""
+def _candidates(
+    d: _Draw, free: frozenset[Atom], atoms: frozenset[Atom] | set[Atom]
+) -> list[Atom]:
+    """The atoms ``_not_free`` picks from for a term with free atoms
+    ``free`` and occurring atoms ``atoms``: the pool's, then the bound
+    ones, none of them free."""
     candidates = [a for a in d.config.atom_pool if a not in free]
     # ``atoms`` is an unordered set; sorting keeps what a seed draws
     candidates.extend(
@@ -301,6 +303,16 @@ def _not_free(
             key=Atom.sort_key,
         )
     )
+    return candidates
+
+
+def _not_free(
+    d: _Draw, candidates: list[Atom], atoms: frozenset[Atom] | set[Atom]
+) -> Atom:
+    """An atom that is not free in a term: one of its ``_candidates`` when
+    there are any, otherwise one fresh for its occurring ``atoms`` (an
+    alpha-variant drawer passes those of the variant it has built so
+    far)."""
     if candidates:
         return d.rng.choice(candidates)
     return fresh(atoms, d.config.atom_pool[0])
@@ -315,11 +327,12 @@ def _alpha_variant(d: _Draw, t: Term) -> Term:
     free, atoms = fv_nom(t), all_atoms(t)
     pi = {a: a for a in atoms}
     for _ in range(1 + d.rng.below(3)):
-        x = _not_free(d, t, free, atoms)
+        candidates = _candidates(d, free, atoms)
+        x = _not_free(d, candidates, atoms)
         if d.rng.coin():
             y = fresh(atoms | {x}, x)
         else:
-            y = _not_free(d, t, free, atoms)
+            y = _not_free(d, candidates, atoms)
         pi = {a: vswap(x, y, b) for a, b in pi.items()}
         atoms = set(pi.values())
     # only the atoms that move: a map that is the identity on t returns t
@@ -366,7 +379,9 @@ _KINDS: dict[str, Callable[[_Draw, object], object]] = {
     "swap_out": lambda d, s: _swap_out(d.term(), s),
     "variant": _alpha_variant,
     "variant_or_fresh": _variant_or_fresh,
-    "not_free": lambda d, s: _not_free(d, s, fv_nom(s), all_atoms(s)),
+    "not_free": lambda d, s: _not_free(
+        d, _candidates(d, fv_nom(s), all_atoms(s)), all_atoms(s)
+    ),
 }
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Union
 
 from .atoms import Atom
@@ -14,9 +13,11 @@ class _Record:
 
     Those fields drive ``match`` patterns, a ``repr`` that names them
     (``Var(atom=Atom('x'))``), copying and pickling (``__reduce__`` calls
-    the class again with them), and field-wise ``==`` and ``hash`` among
-    records of one class.  A slot outside ``__match_args__``, such as a
-    cache, takes no part in any of this.
+    the class again with them), and structural ``==`` and ``hash`` among
+    records of one class.  ``==``, ``hash`` and ``repr`` walk an explicit
+    stack through nested records, so they work at any depth.  A slot
+    outside ``__match_args__``, such as a cache, takes no part in any of
+    this.
 
     Assigning or deleting an attribute raises ``AttributeError``, so an
     ``__init__`` sets each field once: a class built by the thousand
@@ -26,10 +27,6 @@ class _Record:
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
-
-    def __init_subclass__(cls) -> None:
-        if cls.__match_args__:
-            cls._values = attrgetter(*cls.__match_args__)
 
     def __init__(self, *values: object) -> None:
         for name, value in zip(self.__match_args__, values):
@@ -45,31 +42,25 @@ class _Record:
         return (type(self), tuple(getattr(self, f) for f in self.__match_args__))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values(self) == self._values(other)
-
-    def __hash__(self) -> int:
-        return hash(self._values(self))
-
-
-class _Node(_Record):
-    """What the four term classes share: ``==`` and ``hash`` are structural
-    and walk an explicit stack, so they work at any depth.
-
-    ``Abs``, ``App`` and ``ESub`` keep their free and occurring atoms as
-    frozensets in ``_free``/``_atoms`` slots that start empty and are
-    filled together, by one walk, only at a node asked directly
-    (``fv_nom``, ``all_atoms``, ``msubst``'s ``fv(u)``), never at the
-    subterms a traversal passes through: a forced rename in ``msubst``
-    asks ``free_in`` of the binder's own term and keeps nothing.  A ``Var``
-    keeps nothing either; only this module reads or fills the slots."""
-
-    __slots__ = ()
+        # entries are text (a str) or a value still to print (in a
+        # one-element list), so no field value is ever taken for text
+        parts: list[str] = []
+        stack: list = [[self]]
+        while stack:
+            entry = stack.pop()
+            if type(entry) is str:
+                parts.append(entry)
+                continue
+            value = entry[0]
+            if not isinstance(value, _Record):
+                parts.append(repr(value))
+                continue
+            pieces: list = [f"{type(value).__qualname__}("]
+            for i, f in enumerate(value.__match_args__):
+                pieces += (f"{', ' if i else ''}{f}=", [getattr(value, f)])
+            pieces.append(")")
+            stack.extend(reversed(pieces))
+        return "".join(parts)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -80,7 +71,7 @@ class _Node(_Record):
         return _hash(self)
 
 
-class Var(_Node):
+class Var(_Record):
     __slots__ = ("atom",)
     __match_args__ = ("atom",)
     atom: Atom
@@ -89,7 +80,7 @@ class Var(_Node):
         _set_atom(self, atom)
 
 
-class Abs(_Node):
+class Abs(_Record):
     __slots__ = ("binder", "body", "_free", "_atoms")
     __match_args__ = ("binder", "body")
     binder: Atom
@@ -100,7 +91,7 @@ class Abs(_Node):
         _set_abs_body(self, body)
 
 
-class App(_Node):
+class App(_Record):
     __slots__ = ("fun", "arg", "_free", "_atoms")
     __match_args__ = ("fun", "arg")
     fun: "Term"
@@ -111,7 +102,7 @@ class App(_Node):
         _set_app_arg(self, arg)
 
 
-class ESub(_Node):
+class ESub(_Record):
     """``[binder := arg] body``: an object-level substitution constructor.
 
     It carries no evaluation rules here; it only binds ``binder`` in
@@ -140,33 +131,22 @@ _set_esub_body, _set_esub_binder, _set_esub_arg = (
 Term = Union[Var, Abs, App, ESub]
 
 
-def _equal(s: Term, t: Term) -> bool:
-    # pairs still to compare; shared subterms are equal at once
+def _equal(s: _Record, t: _Record) -> bool:
+    # record pairs still to compare field by field: shared values are equal
+    # at once, record pairs are pushed, and other values compare by ``!=``
     stack = [(s, t)]
     while stack:
         a, b = stack.pop()
-        if a is b:
-            continue
-        tp = type(a)
-        if tp is not type(b):
+        if type(a) is not type(b):
             return False
-        if tp is Var:
-            if a.atom != b.atom:
+        for f in a.__match_args__:
+            u, v = getattr(a, f), getattr(b, f)
+            if u is v:
+                continue
+            if isinstance(u, _Record):
+                stack.append((u, v))
+            elif u != v:
                 return False
-        elif tp is App:
-            stack.append((a.arg, b.arg))
-            stack.append((a.fun, b.fun))
-        elif tp is Abs:
-            if a.binder != b.binder:
-                return False
-            stack.append((a.body, b.body))
-        elif tp is ESub:
-            if a.binder != b.binder:
-                return False
-            stack.append((a.arg, b.arg))
-            stack.append((a.body, b.body))
-        elif a != b:
-            return False
     return True
 
 
@@ -239,8 +219,15 @@ def _fv(t: Term) -> tuple[set[Atom], dict[Atom, int]]:
 
 
 def _free_and_occurring(t: Term) -> tuple[frozenset[Atom], frozenset[Atom]]:
-    """``t``'s free and occurring atoms, kept on a compound node (one walk
-    fills both slots, so it keeps both sets or neither)."""
+    """``t``'s free and occurring atoms, kept on a compound node.
+
+    ``Abs``, ``App`` and ``ESub`` keep them as frozensets in ``_free``/
+    ``_atoms`` slots that start empty and are filled together, by one walk
+    (so a node keeps both sets or neither), only at a node asked directly
+    (``fv_nom``, ``all_atoms``, ``msubst``'s ``fv(u)``), never at the
+    subterms a traversal passes through: a forced rename in ``msubst``
+    asks ``free_in`` of the binder's own term and keeps nothing.  A ``Var``
+    keeps nothing either; only this module reads or fills the slots."""
     if type(t) is Var:
         atoms = frozenset((t.atom,))
         return atoms, atoms
@@ -300,9 +287,9 @@ def free_in(a: Atom, t: Term) -> bool:
 
 def vswap(x: Atom, y: Atom, z: Atom) -> Atom:
     """Exchange x and y: returns y if z is x, x if z is y, else z itself."""
-    if z == x:
+    if z is x:
         return y
-    if z == y:
+    if z is y:
         return x
     return z
 

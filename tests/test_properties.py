@@ -253,9 +253,9 @@ def test_alpha_variant_and_not_free_are_sound(monkeypatch, pool):
     not_free = properties._not_free
     fallbacks = 0
 
-    def checked(d, t, *known):
+    def checked(d, candidates, atoms):  # t is the loop's current term
         nonlocal fallbacks
-        a = not_free(d, t, *known)
+        a = not_free(d, candidates, atoms)
         assert a not in fv_nom(t)
         fallbacks += a not in pool and a not in all_atoms(t)
         return a

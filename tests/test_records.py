@@ -20,6 +20,8 @@ from nes import (
     Var,
     gen_term,
 )
+from nes.properties import _Prop
+from nes.term import _Record
 
 x, y = Atom("x"), Atom("y")
 
@@ -59,6 +61,22 @@ RECORDS = [
     ),
 ]
 IDS = [type(r).__name__ for r, _, _ in RECORDS]
+# field values that look like the text pieces of a repr
+RECORDS += [
+    (
+        PropertyReport("law", 1, 1, 0, ("x)",)),
+        "PropertyReport(name='law', cases_run=1, failures=1, seed=0, "
+        "counterexample=('x)',))",
+        PropertyReport("law", 1, 1, 0, ("x)",)),
+    ),
+    (
+        PropertyReport("l)", 1, 1, 0, (("t", ")"),)),
+        "PropertyReport(name='l)', cases_run=1, failures=1, seed=0, "
+        "counterexample=(('t', ')'),))",
+        PropertyReport("l)", 1, 1, 0, (("t", ")"),)),
+    ),
+]
+IDS += ["PropertyReport-paren", "PropertyReport-pairs"]
 
 
 @pytest.mark.parametrize("record, text, twin", RECORDS, ids=IDS)
@@ -86,6 +104,25 @@ def test_copies_round_trip(record, text, twin):
         assert type(copied) is type(record)
         assert copied == record and hash(copied) == hash(record)
         assert repr(copied) == text
+
+
+def test_only_the_record_base_defines_eq_hash_and_repr():
+    # every record family shares _Record's one walk for each of the three
+    import nes.cli  # noqa: F401  (every module's records are defined)
+
+    classes, stack = [], [_Record]
+    while stack:
+        cls = stack.pop()
+        classes.append(cls)
+        stack.extend(cls.__subclasses__())
+    assert {Var, CLam, Meta, GenConfig, PropertyReport, _Prop} <= set(classes)
+    own = [
+        (cls.__qualname__, name)
+        for cls in classes[1:]
+        for name in ("__eq__", "__hash__", "__repr__")
+        if name in vars(cls)
+    ]
+    assert own == []
 
 
 def test_equality_respects_the_class():
@@ -140,6 +177,13 @@ def test_match_patterns():
         (dict(atom_pool=[]), "atom_pool must be nonempty"),
         (dict(seed=1 << 64), "seed must fit in 64 unsigned bits"),
         (dict(cases=0), "cases must be at least 1"),
+        (dict(max_size=2.5), "max_size must be an int, not float"),
+        (dict(max_size=True), "max_size must be an int, not bool"),
+        (dict(seed=1.5), "seed must be an int, not float"),
+        (dict(cases=2.5), "cases must be an int, not float"),
+        (dict(cases="10"), "cases must be an int, not str"),
+        (dict(atom_pool=["x", "y"]), "atom_pool must hold atoms, not str"),
+        (dict(atom_pool=[x, None]), "atom_pool must hold atoms, not NoneType"),
     ],
 )
 def test_genconfig_validation_messages(bad, message):
@@ -171,10 +215,45 @@ def _sub_app_spine(n, leaf):
     return CApp(c, leaf)
 
 
-@pytest.mark.parametrize("build", [_lam_chain, _sub_app_spine])
+def _meta_chain(n, leaf):
+    c = leaf
+    for _ in range(n):
+        c = Meta(Lit(Var(x)), y, c)
+    return c
+
+
+def _lam_chain_text(n, leaf):
+    return "CLam(body=" * n + repr(leaf) + ")" * n
+
+
+def _sub_app_spine_text(n, leaf):
+    return (
+        "CApp(fun=" + "CSub(body=CApp(fun=" * n + "FVar(atom=Atom('x'))"
+        + ", arg=BVar(index=0)), arg=FVar(atom=Atom('y')))" * n + f", arg={leaf!r})"
+    )
+
+
+def _meta_chain_text(n, leaf):
+    head = "Meta(target=Lit(term=Var(atom=Atom('x'))), var=Atom('y'), arg="
+    return head * n + repr(leaf) + ")" * n
+
+
+# each builder's leaf, a different leaf, and the repr it builds
+SHAPES = {
+    _lam_chain: (BVar(0), BVar(1), _lam_chain_text),
+    _sub_app_spine: (BVar(0), BVar(1), _sub_app_spine_text),
+    _meta_chain: (Lit(Var(x)), Lit(Var(y)), _meta_chain_text),
+}
+DEEP = 10**5
+
+
+@pytest.mark.parametrize("build", list(SHAPES))
 def test_nameless_equality_and_hash_are_stack_safe(build):
-    s, t, other = build(10**4, BVar(0)), build(10**4, BVar(0)), build(10**4, BVar(1))
+    leaf, other_leaf, text = SHAPES[build]
+    s, t, other = build(DEEP, leaf), build(DEEP, leaf), build(DEEP, other_leaf)
     assert s is not t
     assert s == t and not (s != t)
     assert s != other and not (s == other)
     assert hash(s) == hash(t)
+    assert repr(s) == text(DEEP, leaf)
+    assert repr(other) == text(DEEP, other_leaf)

@@ -173,13 +173,27 @@ def _spine(n, leaf):
     return App(t, leaf)
 
 
+def _chain_text(n, leaf):
+    return "Abs(binder=Atom('x'), body=" * n + repr(leaf) + ")" * n
+
+
+def _spine_text(n, leaf):
+    return (
+        "App(fun=" * (n + 1) + "Var(atom=Atom('x'))"
+        + ", arg=Var(atom=Atom('y')))" * n + f", arg={leaf!r})"
+    )
+
+
 @pytest.mark.parametrize("build", [_chain, _spine])
 def test_equality_and_hash_are_stack_safe(build):
+    text = {_chain: _chain_text, _spine: _spine_text}[build]
     s, t, other = build(DEEP, Var(z)), build(DEEP, Var(z)), build(DEEP, Var(w))
     assert s is not t
     assert s == t and not (s != t)
     assert s != other and not (s == other)
     assert hash(s) == hash(t)
+    assert repr(s) == text(DEEP, Var(z))
+    assert repr(other) == text(DEEP, Var(w))
 
 
 def test_equality_is_structural_and_equal_terms_hash_equal():
