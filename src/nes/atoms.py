@@ -6,15 +6,7 @@ A finite set of atoms is a plain ``frozenset``: it has no order, and
 
 from __future__ import annotations
 
-import re
 from typing import Container
-
-# A base is an ASCII identifier that does not end in a digit, so that the
-# display form "base + decimal index" can be decoded unambiguously.
-_BASE_RE = re.compile(r"[A-Za-z](?:[A-Za-z0-9]*[A-Za-z])?")
-# A display form: a base, then an index with no leading zero, so that each
-# atom has exactly one spelling.
-_NAME_RE = re.compile(rf"({_BASE_RE.pattern})(0|[1-9][0-9]*)?")
 
 # Every atom ever built, keyed by (base, index).  Only valid atoms enter.
 _INTERNED: dict[tuple[str, int | None], Atom] = {}
@@ -41,7 +33,7 @@ class Atom:
             raise ValueError(f"bad atom index: {index!r}")
         atom = _INTERNED.get((base, index))
         if atom is None:
-            if not _BASE_RE.fullmatch(base):
+            if not _is_base(base):
                 raise ValueError(f"bad atom base: {base!r}")
             atom = object.__new__(cls)
             object.__setattr__(atom, "base", base)
@@ -66,15 +58,24 @@ class Atom:
         return f"Atom({str(self)!r})"
 
 
+def _is_base(text: str) -> bool:
+    """Whether ``text`` is an ASCII identifier that does not end in a digit,
+    so that the display form "base + decimal index" decodes one way.
+    ``str.isascii`` is called unbound so that a non-``str`` raises
+    ``TypeError``."""
+    return (str.isascii(text) and text.isalnum()
+            and text[0].isalpha() and text[-1].isalpha())
+
+
 def parse_atom(text: str) -> Atom:
     """Decode the display form of an atom: trailing digits are the index.
     An index of two or more digits may not start with ``0`` (``x01`` is no
     atom's display form), so distinct names never alias one atom."""
-    m = _NAME_RE.fullmatch(text)
-    if m is None:
+    base = str.rstrip(text, "0123456789")  # unbound: a non-str raises TypeError
+    index = text[len(base):]
+    if not _is_base(base) or index[:1] == "0" and len(index) > 1:
         raise ValueError(f"not a variable name: {text!r}")
-    base, index = m.groups()
-    return Atom(base, None if index is None else int(index))
+    return Atom(base, int(index) if index else None)
 
 
 def fresh(avoid: Container[Atom], hint: Atom) -> Atom:

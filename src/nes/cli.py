@@ -3,15 +3,16 @@
 Expression arguments are literal text, or ``@FILE`` to read the text from a
 file.  Results go to stdout, diagnostics to stderr.  Exit status: 0 on
 success (for ``aeq``: the terms are equivalent; for ``check``: no law
-failed), 1 for a false ``aeq`` or a failed law, 2 for bad input (including a
-term nested too deeply for the recursive core).  Output is plain text;
-NES_COLOR=0 is accepted for compatibility but no styling is emitted either
-way.
+failed; for ``-h``/``--help``: the usage, on stdout), 1 for a false ``aeq``
+or a failed law, 2 for bad input (including a term nested too deeply for the
+recursive core, and a command line that fits no command, after the usage on
+stderr).  ``main`` returns the status and never raises ``SystemExit``.
+Output is plain text; NES_COLOR=0 is accepted for compatibility but no
+styling is emitted either way.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .alpha import aeq, canonicalize, render_canonical
@@ -27,49 +28,45 @@ from .properties import (
 from .term import Term, fv_nom, render, swap
 
 
-def _read_arg(text: str) -> str:
+def _term_arg(text: str) -> Term:
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as handle:
-            return handle.read()
-    return text
+            text = handle.read()
+    return eval_meta(parse(text))
 
 
-def _term_arg(text: str) -> Term:
-    return eval_meta(parse(_read_arg(text)))
-
-
-def _cmd_parse(args: argparse.Namespace) -> int:
-    print(render(_term_arg(args.expr)))
+def _cmd_parse(expr: str) -> int:
+    print(render(_term_arg(expr)))
     return 0
 
 
-def _cmd_fv(args: argparse.Namespace) -> int:
-    for atom in sorted(fv_nom(_term_arg(args.expr)), key=Atom.sort_key):
+def _cmd_fv(expr: str) -> int:
+    for atom in sorted(fv_nom(_term_arg(expr)), key=Atom.sort_key):
         print(atom)
     return 0
 
 
-def _cmd_swap(args: argparse.Namespace) -> int:
-    t = _term_arg(args.expr)
-    print(render(swap(parse_atom(args.x), parse_atom(args.y), t)))
+def _cmd_swap(x: str, y: str, expr: str) -> int:
+    t = _term_arg(expr)
+    print(render(swap(parse_atom(x), parse_atom(y), t)))
     return 0
 
 
-def _cmd_subst(args: argparse.Namespace) -> int:
-    u = _term_arg(args.replacement)
-    t = _term_arg(args.target)
-    print(render(msubst(t, u, parse_atom(args.x))))
+def _cmd_subst(x: str, replacement: str, target: str) -> int:
+    u = _term_arg(replacement)
+    t = _term_arg(target)
+    print(render(msubst(t, u, parse_atom(x))))
     return 0
 
 
-def _cmd_aeq(args: argparse.Namespace) -> int:
-    equivalent = aeq(_term_arg(args.expr1), _term_arg(args.expr2))
+def _cmd_aeq(expr1: str, expr2: str) -> int:
+    equivalent = aeq(_term_arg(expr1), _term_arg(expr2))
     print("true" if equivalent else "false")
     return 0 if equivalent else 1
 
 
-def _cmd_canon(args: argparse.Namespace) -> int:
-    print(render_canonical(canonicalize(_term_arg(args.expr))))
+def _cmd_canon(expr: str) -> int:
+    print(render_canonical(canonicalize(_term_arg(expr))))
     return 0
 
 
@@ -85,92 +82,114 @@ def _text_lines(report: PropertyReport) -> list[str]:
     return lines
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    names = args.lemma or list(PROPERTY_NAMES)
+def _cmd_check(lemma: tuple[str, ...] = (), cases: int = 10_000, seed: int = 0,
+               max_size: int = 20, pool: str = "x,y,z,w,v", format: str = "text") -> int:
+    if format not in ("text", "tsv"):
+        raise _UsageError(f"--format takes text or tsv, not {format!r}")
+    names = lemma or PROPERTY_NAMES
     unknown = [n for n in names if n not in PROPERTY_NAMES]
     if unknown:
-        print(
-            f"unknown lemma {unknown[0]!r}; valid names: {', '.join(PROPERTY_NAMES)}",
-            file=sys.stderr,
+        raise _UsageError(
+            f"unknown lemma {unknown[0]!r}; valid names: {', '.join(PROPERTY_NAMES)}"
         )
-        return 2
-    pool = tuple(parse_atom(part.strip()) for part in args.pool.split(","))
-    config = GenConfig(
-        max_size=args.max_size, atom_pool=pool, seed=args.seed, cases=args.cases
-    )
+    atoms = tuple(parse_atom(part.strip()) for part in pool.split(","))
+    config = GenConfig(max_size=max_size, atom_pool=atoms, seed=seed, cases=cases)
     # term operations recurse to roughly the term depth
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * config.max_size + 1000))
     failed = False
     for name in names:
         report = run_property(name, config)
-        lines = report.tsv_lines() if args.format == "tsv" else _text_lines(report)
+        lines = report.tsv_lines() if format == "tsv" else _text_lines(report)
         print("\n".join(lines))
         if report.failures:
             failed = True
     return 1 if failed else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="nes",
-        description="Nominal terms with an explicit substitution operator: "
-        "parse, swap, substitute, decide alpha-equivalence, and check the "
-        "law catalogue.",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
+_USAGE = """\
+usage: nes parse EXPR            echo the canonical rendering
+       nes fv EXPR               free atoms, one per line, in canonical order
+       nes swap X Y EXPR         exchange two atoms everywhere in a term
+       nes subst X U T           capture-avoiding substitution {X := U} T
+       nes aeq EXPR1 EXPR2       alpha-equivalence (exit 1 if not)
+       nes canon EXPR            nameless canonical form (#k binds)
+       nes check [--lemma NAME]... [--cases 10000] [--seed 0] [--max-size 20]
+                 [--pool x,y,z,w,v] [--format text|tsv]
+An EXPR may be @FILE.  Options are spelled in full, as --name VALUE or
+--name=VALUE; --lemma repeats, and otherwise the last value given wins.
+"""
 
-    p = sub.add_parser("parse", help="parse and echo the canonical rendering")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_parse)
 
-    p = sub.add_parser("fv", help="free atoms, one per line, in canonical order")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_fv)
+class _UsageError(Exception):
+    """A command line that names no command, or does not fit its command."""
 
-    p = sub.add_parser("swap", help="exchange two atoms everywhere in a term")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_swap)
 
-    p = sub.add_parser(
-        "subst", help="capture-avoiding substitution {x := u} t"
-    )
-    p.add_argument("x", help="variable to replace")
-    p.add_argument("replacement", help="replacement term u")
-    p.add_argument("target", help="target term t")
-    p.set_defaults(func=_cmd_subst)
+# command -> (positional parameters, handler)
+_COMMANDS = {
+    "parse": (("EXPR",), _cmd_parse),
+    "fv": (("EXPR",), _cmd_fv),
+    "swap": (("X", "Y", "EXPR"), _cmd_swap),
+    "subst": (("X", "U", "T"), _cmd_subst),
+    "aeq": (("EXPR1", "EXPR2"), _cmd_aeq),
+    "canon": (("EXPR",), _cmd_canon),
+    "check": ((), _cmd_check),
+}
+# check's options, each a keyword of _cmd_check -> how its value is read
+_CHECK_OPTIONS = {"--lemma": str, "--cases": int, "--seed": int,
+                  "--max-size": int, "--pool": str, "--format": str}
+_HELP = ("-h", "--help")
 
-    p = sub.add_parser("aeq", help="decide alpha-equivalence of two terms")
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-    p.set_defaults(func=_cmd_aeq)
 
-    p = sub.add_parser("canon", help="nameless canonical form (#k binds)")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_canon)
-
-    p = sub.add_parser("check", help="run the named laws (default: all)")
-    p.add_argument(
-        "--lemma",
-        action="append",
-        metavar="NAME",
-        help="law to check; repeatable",
-    )
-    p.add_argument("--cases", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-size", type=int, default=20)
-    p.add_argument("--pool", default="x,y,z,w,v", metavar="a,b,c")
-    p.add_argument("--format", choices=("text", "tsv"), default="text")
-    p.set_defaults(func=_cmd_check)
-
-    return top
+def _parse_args(args: list[str]) -> tuple | None:
+    """(handler, positionals, options) for a command line, or None when it
+    asks for help."""
+    if not args:
+        raise _UsageError("no command given")
+    command, *rest = args
+    if command in _HELP:
+        return None
+    if command not in _COMMANDS:
+        raise _UsageError(f"unknown command {command!r}")
+    names, handler = _COMMANDS[command]
+    known = _CHECK_OPTIONS if handler is _cmd_check else {}
+    positionals, options = [], {}
+    rest = iter(rest)
+    for arg in rest:
+        if arg == "--":
+            positionals += rest
+        elif arg in _HELP:
+            return None
+        elif arg.startswith("-") and arg != "-":
+            option, eq, value = arg.partition("=")
+            if option not in known:
+                raise _UsageError(f"{command} has no option {option}")
+            value = value if eq else next(rest, None)
+            if value is None:
+                raise _UsageError(f"{option} needs a value")
+            try:
+                value = known[option](value)
+            except ValueError:
+                raise _UsageError(f"{option} takes an integer, not {value!r}") from None
+            key = option[2:].replace("-", "_")
+            options[key] = (*options.get(key, ()), value) if key == "lemma" else value
+        else:
+            positionals.append(arg)
+    if len(positionals) != len(names):
+        raise _UsageError(f"{command} takes {' '.join(names) or 'no arguments'}")
+    return handler, positionals, options
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        call = _parse_args(sys.argv[1:] if argv is None else argv)
+        if call is None:
+            print(_USAGE, end="")
+            return 0
+        handler, positionals, options = call
+        return handler(*positionals, **options)
+    except _UsageError as err:
+        print(f"{_USAGE}nes: error: {err}", file=sys.stderr)
+        return 2
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2

@@ -36,16 +36,18 @@ from .term import Abs, App, ESub, Term, Var, free_in, fv_nom, permute
 class _Avoid:
     """The avoid set ``pi(fv(t)) | fv(u) | {x}`` of a forced rename, asked
     one candidate at a time: ``c = pi(a)`` exactly when ``a = inv(c)``, so
-    ``c`` is in ``pi(fv(t))`` exactly when ``inv(c)`` is free in ``t``."""
+    ``c`` is in ``pi(fv(t))`` exactly when ``inv(c)`` is free in ``t``.
+    The caller has found the hint taken, so asking it walks nothing."""
 
-    __slots__ = ("fv_u", "x", "t", "inv")
+    __slots__ = ("hint", "fv_u", "x", "t", "inv")
 
-    def __init__(self, fv_u: frozenset[Atom], x: Atom, t: Term,
+    def __init__(self, hint: Atom, fv_u: frozenset[Atom], x: Atom, t: Term,
                  inv: dict[Atom, Atom]) -> None:
-        self.fv_u, self.x, self.t, self.inv = fv_u, x, t, inv
+        self.hint, self.fv_u, self.x, self.t, self.inv = hint, fv_u, x, t, inv
 
     def __contains__(self, c: Atom) -> bool:
-        return c in self.fv_u or c is self.x or free_in(self.inv.get(c, c), self.t)
+        return (c is self.hint or c in self.fv_u or c is self.x
+                or free_in(self.inv.get(c, c), self.t))
 
 
 def msubst(t: Term, u: Term, x: Atom) -> Term:
@@ -76,7 +78,7 @@ def msubst(t: Term, u: Term, x: Atom) -> Term:
         # hint asks fresh, which probes the set through _Avoid.
         z = y
         if y in fv_u or tp is ESub and free_in(b, t.arg):
-            z = fresh(_Avoid(fv_u, x, t, inv), y)
+            z = fresh(_Avoid(y, fv_u, x, t, inv), y)
         # the argument sits outside the binder, under the renamings above t
         arg = go(t.arg, pi, inv) if tp is ESub else None
         if z is not y:

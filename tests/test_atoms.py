@@ -1,5 +1,7 @@
 import copy
+import itertools
 import pickle
+import re
 
 import pytest
 from hypothesis import given
@@ -95,3 +97,49 @@ def test_parse_atom_reads_only_display_forms(text):
     except ValueError:
         return
     assert str(atom) == text
+
+
+# The name grammar as two regular expressions: the slow reference that the
+# str-method checks of Atom and parse_atom must agree with.
+_BASE_RE = re.compile(r"[A-Za-z](?:[A-Za-z0-9]*[A-Za-z])?")
+_NAME_RE = re.compile(rf"({_BASE_RE.pattern})(0|[1-9][0-9]*)?")
+
+
+def _ref_atom(base):
+    if not _BASE_RE.fullmatch(base):
+        raise ValueError(base)
+    return (base, None)
+
+
+def _ref_parse_atom(text):
+    m = _NAME_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(text)
+    base, index = m.groups()
+    return (base, None if index is None else int(index))
+
+
+def _outcome(f, arg):
+    """What ``f(arg)`` gives as (base, index), or the type it raises."""
+    try:
+        got = f(arg)
+    except Exception as err:
+        return type(err)
+    return got if type(got) is tuple else (got.base, got.index)
+
+
+# Letters, digits, an underscore, a non-ASCII letter, a superscript digit,
+# an Arabic-Indic digit and a space: 7 381 strings of length 0 to 4.
+_ALPHABET = "aZ09_é²٣ "
+_SHORT_STRINGS = [
+    "".join(chars)
+    for n in range(5)
+    for chars in itertools.product(_ALPHABET, repeat=n)
+]
+
+
+def test_name_checks_agree_with_the_regular_expressions():
+    assert len(_SHORT_STRINGS) == 7381
+    for f, ref in ((Atom, _ref_atom), (parse_atom, _ref_parse_atom)):
+        for text in [*_SHORT_STRINGS, 5, b"x", None, ["x"]]:
+            assert _outcome(f, text) == _outcome(ref, text), (f.__name__, text)

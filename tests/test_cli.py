@@ -143,6 +143,77 @@ def test_cold_import_leaves_out_dataclasses_and_inspect():
     assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
 
+def test_cold_import_leaves_out_argparse_gettext_and_re():
+    # argparse and gettext were most of what a cold start spent in nes.cli;
+    # typing itself imports re, so it comes first, and then any import of re
+    # fails
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, typing; sys.modules['re'] = None; import nes.cli; "
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus", "x"],
+        ["parse"],
+        ["parse", "x", "y"],
+        ["swap", "x", "y"],
+        ["check", "extra"],
+        ["check", "--bogus", "1"],
+        ["parse", "--cases", "1", "x"],
+        ["check", "--cas", "5"],  # no unique-prefix abbreviations
+        ["check", "--cases"],
+        ["check", "--lemma"],
+        ["check", "--cases", "many"],
+        ["check", "--seed", "1.5"],
+        ["check", "--max-size=big"],
+        ["check", "--format", "json"],
+    ],
+    ids=lambda argv: "_".join(argv) or "no-command",
+)
+def test_usage_error_is_status_2_without_traceback(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: nes ") and "nes: error: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help"], ["check", "-h"], ["swap", "x", "--help"]],
+    ids=lambda argv: "_".join(argv),
+)
+def test_help_is_status_0_on_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: nes parse EXPR") and "--max-size 20" in out
+
+
+def test_check_options_equals_form_and_last_value_wins(capsys):
+    code, out, _ = run(
+        capsys, "check", "--lemma=vswap_id", "--cases", "7", "--seed=3",
+        "--cases=50", "--seed", "9", "--format=tsv", "--format", "text",
+    )
+    assert code == 0
+    assert out == "ok   vswap_id                   cases=50 failures=0 seed=9\n"
+
+
+def test_double_dash_ends_options(capsys):
+    code, out, _ = run(capsys, "swap", "x", "--", "y", "\\x. x z")
+    assert (code, out) == (0, "\\y. y z\n")
+
+
 # Pins the whole tsv report: any change to what a seed draws, to a law, or
 # to a fresh name msubst picks shows here.
 @pytest.mark.parametrize(
