@@ -7,8 +7,7 @@ failed; for ``-h``/``--help``: the usage, on stdout), 1 for a false ``aeq``
 or a failed law, 2 for bad input (including a term nested too deeply for the
 recursive core, and a command line that fits no command, after the usage on
 stderr).  ``main`` returns the status and never raises ``SystemExit``.
-Output is plain text; NES_COLOR=0 is accepted for compatibility but no
-styling is emitted either way.
+Output is plain text.
 """
 
 from __future__ import annotations

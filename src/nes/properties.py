@@ -11,7 +11,7 @@ so a broken repair fails loudly instead of weakening the law.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .alpha import aeq, canonicalize
 from .atoms import Atom, fresh
@@ -70,7 +70,9 @@ class _Stream:
     """Deterministic 64-bit random stream: splitmix64 from a given state.
 
     Much cheaper to fork per case than reseeding a Mersenne generator, and
-    its output is a pure function of the initial state.
+    its output is a pure function of the initial state.  Every random
+    decision of a draw is one ``choose(n)``, so a ``_Tape`` can record and
+    replay a whole case.
     """
 
     __slots__ = ("_counter",)
@@ -78,18 +80,31 @@ class _Stream:
     def __init__(self, state: int):
         self._counter = state
 
-    def next64(self) -> int:
+    def choose(self, n: int) -> int:
+        """A choice in ``range(n)``: the next 64-bit output modulo ``n``."""
         self._counter = c = (self._counter + _GAMMA) & _M64
-        return _finalize(c)
-
-    def below(self, n: int) -> int:
-        return self.next64() % n
+        return _finalize(c) % n
 
     def choice(self, seq):
-        return seq[self.next64() % len(seq)]
+        return seq[self.choose(len(seq))]
 
-    def coin(self) -> bool:
-        return bool(self.next64() & 1)
+
+class _Tape(_Stream):
+    """A list of choices.  Over a ``source`` stream it records the source's
+    choices; without one it replays its own, and a choice past the end of
+    the list, or one not below ``n``, reads 0.  ``read`` counts choices."""
+
+    __slots__ = ("choices", "read", "_source")
+
+    def __init__(self, choices: list[int], source: _Stream | None = None):
+        self.choices, self.read, self._source = choices, 0, source
+
+    def choose(self, n: int) -> int:
+        i, self.read = self.read, self.read + 1
+        if self._source is not None:
+            self.choices.append(self._source.choose(n))
+        c = self.choices[i] if i < len(self.choices) else 0
+        return c if c < n else 0
 
 
 def _mix(a: int, b: int) -> int:
@@ -199,17 +214,17 @@ def _gen(rng: _Stream, budget: int, pool: Sequence[Atom]) -> Term:
     if budget <= 1:
         return Var(rng.choice(pool))
     if budget == 2:
-        if rng.below(4) == 0:
+        if rng.choose(4) == 0:
             return Var(rng.choice(pool))
         return Abs(rng.choice(pool), Var(rng.choice(pool)))
     # weights 1 : 3 : 3 : 3 keep leaves rare, so the expected size tracks
     # the budget
-    r = rng.below(10)
+    r = rng.choose(10)
     if r == 0:
         return Var(rng.choice(pool))
     if r <= 3:
         return Abs(rng.choice(pool), _gen(rng, budget - 1, pool))
-    left = 1 + rng.below(budget - 2)
+    left = 1 + rng.choose(budget - 2)
     right = budget - 1 - left
     if r <= 6:
         return App(_gen(rng, left, pool), _gen(rng, right, pool))
@@ -246,9 +261,10 @@ def enumerate_terms(max_size: int, pool: Sequence[Atom]) -> list[Term]:
 
 class _Draw:
     """Hands one case its random inputs.  Terms come from the shared
-    generation stream (4 slots per case); atoms and coins come from a
-    per-(law, case) generator, seeded from the law's state, which is
-    computed once per law."""
+    generation stream (4 slots per case); atoms, coins and candidate picks
+    come from a per-(law, case) stream, seeded from the law's state, which
+    is computed once per law.  ``replay`` takes every choice from tapes
+    instead, which is how ``_shrink`` records and edits a case."""
 
     _STRIDE = 4
 
@@ -262,9 +278,26 @@ class _Draw:
         self.rng = _Stream(_mix(self._law, case))
         self._base = case * self._STRIDE
         self._slot = 0
+        self._tapes: Iterator[_Tape] | None = None
+        return self
+
+    def record(self, case: int) -> list[_Tape]:
+        """Tapes that record ``case`` while ``replay`` draws it."""
+        self.start(case)
+        return [_Tape([], self.rng)] + [
+            _Tape([], _Stream(_mix(self.config.seed, self._base + slot)))
+            for slot in range(self._STRIDE)
+        ]
+
+    def replay(self, tapes: list[_Tape]) -> _Draw:
+        """Draw from ``tapes``, the atom tape and then one per term slot,
+        building terms afresh; ``start`` leaves this mode."""
+        self.rng, self._tapes = tapes[0], iter(tapes[1:])
         return self
 
     def term(self) -> Term:
+        if self._tapes is not None:
+            return _gen(next(self._tapes), self.config.max_size, self.config.atom_pool)
         t = gen_term(self.config, self._base + self._slot)
         self._slot += 1
         return t
@@ -326,10 +359,10 @@ def _alpha_variant(d: _Draw, t: Term) -> Term:
     # pi, a map from t's atoms to the variant's, applied once at the end.
     free, atoms = fv_nom(t), all_atoms(t)
     pi = {a: a for a in atoms}
-    for _ in range(1 + d.rng.below(3)):
+    for _ in range(1 + d.rng.choose(3)):
         candidates = _candidates(d, free, atoms)
         x = _not_free(d, candidates, atoms)
-        if d.rng.coin():
+        if d.rng.choose(2):
             y = fresh(atoms | {x}, x)
         else:
             y = _not_free(d, candidates, atoms)
@@ -340,7 +373,7 @@ def _alpha_variant(d: _Draw, t: Term) -> Term:
 
 
 def _variant_or_fresh(d: _Draw, t: Term) -> Term:
-    if d.rng.coin():
+    if d.rng.choose(2):
         return _alpha_variant(d, t)
     return d.term()
 
@@ -613,110 +646,74 @@ def _holds(prop: _Prop, inputs: dict) -> bool:
         return False
 
 
+def _draw_case(name: str, prop: _Prop, d: _Draw, case: int) -> dict:
+    # the inputs d draws, re-checked against the law's hypothesis
+    inputs = prop.draw(d)
+    if prop.pre is not None and not prop.pre(**inputs):
+        raise RuntimeError(
+            f"input repair for {name} (case {case}) left its hypothesis unsatisfied"
+        )
+    return inputs
+
+
 def run_property(name: str, config: GenConfig) -> PropertyReport:
     """Check the named law on ``config.cases`` drawn inputs.
 
     All cases are evaluated; the report counts every failure (a False
     conclusion or an exception from it) and carries the first (lowest
-    stream position) counterexample, shrunk.
+    stream position) counterexample, shrunk by ``_shrink``.
     """
     prop = _CATALOGUE.get(name)
     if prop is None:
         raise UnknownPropertyError(name)
-    failures = 0
-    first_failure: dict | None = None
     d = _Draw(config, zlib.crc32(name.encode()), 0)
-    for case in range(config.cases):
-        inputs = prop.draw(d.start(case))
-        if prop.pre is not None and not prop.pre(**inputs):
-            raise RuntimeError(
-                f"input repair for {name} (case {case}) left its hypothesis unsatisfied"
-            )
-        if not _holds(prop, inputs):
-            failures += 1
-            if first_failure is None:
-                first_failure = inputs
+    failed = [
+        case for case in range(config.cases)
+        if not _holds(prop, _draw_case(name, prop, d.start(case), case))
+    ]
     counterexample = None
-    if first_failure is not None:
-        shrunk = _shrink(first_failure, prop, config.atom_pool)
+    if failed:
         counterexample = tuple(
             (k, str(v) if isinstance(v, Atom) else render(v))
-            for k, v in shrunk.items()
+            for k, v in _shrink(name, prop, d, failed[0]).items()
         )
-    return PropertyReport(
-        name=name,
-        cases_run=config.cases,
-        failures=failures,
-        seed=config.seed,
-        counterexample=counterexample,
-    )
+    return PropertyReport(name, config.cases, len(failed), config.seed, counterexample)
 
 
-def _shrink_moves(t: Term) -> Iterable[Term]:
-    """All terms obtained by replacing one composite node of ``t`` with its
-    largest immediate subterm; every move strictly decreases the size."""
-    match t:
-        case Var(_):
+def _shrink(name: str, prop: _Prop, d: _Draw, case: int) -> dict:
+    """The failing ``case``, shrunk by replaying smaller choices (MacIver and
+    Donaldson, ECOOP 2020): each pass over its tapes deletes runs of 2^j,
+    ..., 2, 1 choices from the end, sets one choice to 0 and halves one.  An
+    edit is kept when its replay still fails, every tape cut to what that
+    replay read, so the tapes only shrink in shortlex order, until a pass
+    keeps nothing.  Repairs re-run, so the inputs meet the hypothesis."""
+    tapes = d.record(case)
+    inputs = _draw_case(name, prop, d.replay(tapes), case)
+    best = [tape.choices for tape in tapes]
+    kept = True
+
+    def edit(k: int, i: int, j: int, values: list[int]) -> None:
+        # best[k][i:j] = values, if they are smaller and the replay still fails
+        nonlocal inputs, kept
+        tape = best[k]
+        if j > len(tape) or values >= tape[i:j]:
             return
-        case Abs(x, body):
-            yield body
-            for b in _shrink_moves(body):
-                yield Abs(x, b)
-        case App(fun, arg):
-            yield fun if size(fun) >= size(arg) else arg
-            for f in _shrink_moves(fun):
-                yield App(f, arg)
-            for a in _shrink_moves(arg):
-                yield App(fun, a)
-        case ESub(body, x, arg):
-            yield body if size(body) >= size(arg) else arg
-            for b in _shrink_moves(body):
-                yield ESub(b, x, arg)
-            for a in _shrink_moves(arg):
-                yield ESub(body, x, a)
+        trial = [_Tape(other) for other in best]
+        trial[k] = _Tape(tape[:i] + values + tape[j:])
+        got = _draw_case(name, prop, d.replay(trial), case)
+        if not _holds(prop, got):
+            best[:] = [t.choices[: t.read] for t in trial]
+            inputs, kept = got, True
 
-
-def _smaller(inputs: dict, pool: Sequence[Atom]) -> Iterable[dict]:
-    """Shrink candidates for ``inputs``, preferred first: one subterm
-    replacement in one term input, then renaming a stray atom down to an
-    unused pool atom (applied to every input at once so relationships
-    between them survive)."""
-    for key, value in inputs.items():
-        if not isinstance(value, Atom):
-            for smaller in _shrink_moves(value):
-                yield {**inputs, key: smaller}
-    occurring: set[Atom] = set()
-    for value in inputs.values():
-        if isinstance(value, Atom):
-            occurring.add(value)
-        else:
-            occurring.update(all_atoms(value))
-    # Preference position: earlier pool atoms are "smaller"; anything
-    # outside the pool reduces to any unused pool atom.
-    position = {a: i for i, a in enumerate(pool)}.get
-    fallback = len(pool)
-    for a in sorted(
-        occurring,
-        key=lambda a: (position(a, fallback), a.sort_key()),
-        reverse=True,
-    ):
-        for b in pool[: position(a, fallback)]:
-            if b not in occurring:
-                yield {
-                    k: (vswap(a, b, v) if isinstance(v, Atom) else swap(a, b, v))
-                    for k, v in inputs.items()
-                }
-
-
-def _shrink(inputs: dict, prop: _Prop, pool: Sequence[Atom]) -> dict:
-    """Greedy shrink to a fixpoint: move to the first candidate of
-    ``_smaller`` that still satisfies the hypothesis and still fails."""
-    while True:
-        for candidate in _smaller(inputs, pool):
-            if prop.pre is not None and not prop.pre(**candidate):
-                continue
-            if not _holds(prop, candidate):
-                inputs = candidate
-                break
-        else:
-            return inputs
+    while kept:
+        kept = False
+        for k in range(len(best)):
+            run = 1 << len(best[k]).bit_length()
+            while run := run // 2:
+                for i in range(len(best[k]) - run, -1, -1):
+                    edit(k, i, i + run, [])
+            for i in range(len(best[k])):
+                edit(k, i, i + 1, [0])
+                # halving rounds up, so it never repeats the edit to 0
+                edit(k, i, i + 1, [(c + 1) // 2 for c in best[k][i : i + 1]])
+    return inputs

@@ -285,13 +285,13 @@ def test_check_byte_identical_across_runs(capsys):
             "text",
             "FAIL every_term_is_app_free     cases=50 failures=13 seed=0\n"
             "     counterexample:\n"
-            "       t = y x\n",
+            "       t = x x\n",
         ),
         (
             "tsv",
             "every_term_is_app_free\t50\t13\t0\n"
             "# counterexample:\n"
-            "#   t = y x\n",
+            "#   t = x x\n",
         ),
     ],
 )

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 import zlib
 
 import pytest
@@ -16,8 +17,11 @@ from nes import (
     aeq,
     all_atoms,
     enumerate_terms,
+    eval_meta,
     fv_nom,
     gen_term,
+    parse,
+    parse_atom,
     render,
     run_property,
     size,
@@ -105,7 +109,7 @@ def _splitmix64(state):
 
 def test_stream_is_splitmix64():
     rng = properties._Stream(0)
-    assert [rng.next64(), rng.next64()] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+    assert [rng.choose(1 << 64), rng.choose(1 << 64)] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
     pick = random.Random(0)
     for _ in range(10_000):
         a, b = pick.getrandbits(64), pick.getrandbits(64)
@@ -114,7 +118,7 @@ def test_stream_is_splitmix64():
         assert properties._mix(a, b) == next(_splitmix64(start))
     for state in (0, 1, _M64, pick.getrandbits(64)):
         rng, textbook = properties._Stream(state), _splitmix64(state)
-        assert [rng.next64() for _ in range(8)] == [next(textbook) for _ in range(8)]
+        assert [rng.choose(1 << 64) for _ in range(8)] == [next(textbook) for _ in range(8)]
 
 
 def test_gen_term_single_leaf():
@@ -190,15 +194,40 @@ def test_drawn_inputs_are_pinned(pool, expected):
 
 
 def test_a_draw_moved_to_a_case_draws_what_a_new_one_does():
-    # run_property seeds each law once and moves one _Draw from case to case
+    # run_property seeds each law once and moves one _Draw from case to case;
+    # the shrinker replays tapes on it in between (None below), and start
+    # must leave replay mode
     cfg = GenConfig(max_size=8)
     for name in ("aeq_swap_swap", "m_subst_sub_neq", "aeq_m_subst_eq"):
         prop, digest = properties._CATALOGUE[name], zlib.crc32(name.encode())
         moved = properties._Draw(cfg, digest, 0)
-        for case in (3, 0, 41, 42):
+        for case in (3, 0, None, 41, 42):
+            if case is None:
+                prop.draw(moved.replay([properties._Tape([]) for _ in range(5)]))
+                continue
             assert prop.draw(moved.start(case)) == prop.draw(
                 properties._Draw(cfg, digest, case)
             )
+
+
+def test_replaying_recorded_tapes_draws_the_recorded_case():
+    cfg = GenConfig()
+    for name in PROPERTY_NAMES:
+        prop, digest = properties._CATALOGUE[name], zlib.crc32(name.encode())
+        d = properties._Draw(cfg, digest, 0)
+        for case in range(50):
+            drawn = prop.draw(properties._Draw(cfg, digest, case))
+            tapes = d.record(case)
+            assert prop.draw(d.replay(tapes)) == drawn, (name, case)
+            replayed = [properties._Tape(tape.choices) for tape in tapes]
+            assert prop.draw(d.replay(replayed)) == drawn, (name, case)
+            assert all(tape.read == len(tape.choices) for tape in replayed)
+
+
+def test_tape_reads_zero_past_its_end_and_out_of_range():
+    tape = properties._Tape([2, 7, 1])
+    assert [tape.choose(5), tape.choose(5), tape.choose(2), tape.choose(9)] == [2, 0, 1, 0]
+    assert tape.read == 4
 
 
 def test_run_property_trivial_case():
@@ -288,10 +317,32 @@ def test_failure_counting_and_counterexample(broken_law):
     report = run_property(broken_law, GenConfig(cases=200))
     assert report.failures > 1
     assert report.counterexample is not None
-    ((name, rendered),) = report.counterexample
-    assert name == "t"
-    # greedy subterm shrinking bottoms out at the smallest failing shape
-    assert rendered in ("x x", "x y", "y x", "y y")
+    assert report.counterexample == (("t", "x x"),)
+
+
+def test_capturing_msubst_is_killed_and_shrinks_small(monkeypatch):
+    # A capturing mutant: msubst keeps every binder it should rename.  The
+    # attribute nes.msubst is the function, so the module comes from
+    # sys.modules.
+    monkeypatch.setattr(sys.modules["nes.msubst"], "fresh", lambda avoid, hint: hint)
+    cfg = GenConfig(cases=100)
+    for name in (
+        "m_subst_abs_neq", "m_subst_sub_neq", "aeq_m_subst_out",
+        "aeq_m_subst_eq", "m_subst_lemma",
+    ):
+        report = run_property(name, cfg)
+        assert report.failures > 0, name
+        prop = properties._CATALOGUE[name]
+        shapes = prop.draw(properties._Draw(cfg, 0, 0))
+        inputs = {
+            k: parse_atom(v) if isinstance(shapes[k], Atom) else eval_meta(parse(v))
+            for k, v in report.counterexample
+        }
+        # shrinking replays the repairs, so the hypothesis still holds
+        assert prop.pre is None or prop.pre(**inputs), name
+        assert not properties._holds(prop, inputs), name
+        terms = [v for v in inputs.values() if not isinstance(v, Atom)]
+        assert max(map(size, terms)) <= 2, report.counterexample
 
 
 def test_report_tsv_lines(broken_law):
