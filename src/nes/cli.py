@@ -94,14 +94,18 @@ def _cmd_check(lemma: tuple[str, ...] = (), cases: int = 10_000, seed: int = 0,
     atoms = tuple(parse_atom(part.strip()) for part in pool.split(","))
     config = GenConfig(max_size=max_size, atom_pool=atoms, seed=seed, cases=cases)
     # term operations recurse to roughly the term depth
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * config.max_size + 1000))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * config.max_size + 1000))
     failed = False
-    for name in names:
-        report = run_property(name, config)
-        lines = report.tsv_lines() if format == "tsv" else _text_lines(report)
-        print("\n".join(lines))
-        if report.failures:
-            failed = True
+    try:
+        for name in names:
+            report = run_property(name, config)
+            lines = report.tsv_lines() if format == "tsv" else _text_lines(report)
+            print("\n".join(lines))
+            if report.failures:
+                failed = True
+    finally:
+        sys.setrecursionlimit(limit)
     return 1 if failed else 0
 
 

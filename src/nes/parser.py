@@ -19,6 +19,10 @@ the only non-ASCII token accepted.
 
 A brace form ``{x := u} t`` denotes the substitution itself, carried out by
 :func:`eval_meta`; the bracket form builds a term and is not evaluated.
+
+Bad input raises :class:`ParseError` at a 1-based line and column counted
+in characters (a tab, ``\\r`` or ``λ`` is one column); the CLI prints
+``parse error: LINE:COLUMN: expected ... found ...`` and exits 2.
 """
 
 from __future__ import annotations
@@ -69,25 +73,17 @@ class Meta(_Record):
 
 MetaExpr = Union[Lit, Meta]
 
-# (kind, text, line, column)
-_Token = tuple[str, str, int, int]
+# (kind, text, offset): a punctuation mark's kind is its own text, and λ's
+# is a backslash's; a name's kind is "name", the end's "end"
+_Token = tuple[str, str, int]
 
 
-def _unexpected(tok: _Token, expected: tuple[str, ...]) -> ParseError:
-    kind, value, line, column = tok
+def _unexpected(text: str, tok: _Token, expected: tuple[str, ...]) -> ParseError:
+    kind, value, i = tok
     found = {"name": f"name {value!r}", "end": "end of input"}.get(kind, repr(value))
-    return ParseError(line, column, expected, found)
+    line = text.count("\n", 0, i) + 1
+    return ParseError(line, i - text.rfind("\n", 0, i), expected, found)
 
-
-_SINGLE = {
-    ".": "dot",
-    "(": "lparen",
-    ")": "rparen",
-    "[": "lbracket",
-    "]": "rbracket",
-    "{": "lbrace",
-    "}": "rbrace",
-}
 
 _ALL_TOKENS = (
     "name", "'\\'", "'λ'", "'.'", "':='",
@@ -97,52 +93,34 @@ _ALL_TOKENS = (
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, column = 1, 1
     i, n = 0, len(text)
     while i < n:
         c = text[i]
-        if c == "\n":
-            line += 1
-            column = 1
+        if c in " \t\r\n":
             i += 1
-            continue
-        if c in " \t\r":
-            column += 1
+        elif c in "\\λ.()[]{}":
+            tokens.append(("\\" if c == "λ" else c, c, i))
             i += 1
-            continue
-        if c == "\\" or c == "λ":
-            tokens.append(("lambda", c, line, column))
-            column += 1
-            i += 1
-            continue
-        if c in _SINGLE:
-            tokens.append((_SINGLE[c], c, line, column))
-            column += 1
-            i += 1
-            continue
-        if c == ":":
-            if i + 1 < n and text[i + 1] == "=":
-                tokens.append(("assign", ":=", line, column))
-                column += 2
-                i += 2
-                continue
-            raise ParseError(line, column, ("':='",), repr(c))
-        if c.isascii() and c.isalpha():
+        elif text.startswith(":=", i):
+            tokens.append((":=", ":=", i))
+            i += 2
+        elif c.isascii() and c.isalpha():
             j = i + 1
             while j < n and text[j].isascii() and text[j].isalnum():
                 j += 1
-            tokens.append(("name", text[i:j], line, column))
-            column += j - i
+            tokens.append(("name", text[i:j], i))
             i = j
-            continue
-        raise ParseError(line, column, _ALL_TOKENS, repr(c))
-    tokens.append(("end", "", line, column))
+        else:
+            expected = ("':='",) if c == ":" else _ALL_TOKENS
+            raise _unexpected(text, (c, c, i), expected)
+    tokens.append(("end", "", n))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
+    def __init__(self, text: str):
+        self._text = text
+        self._tokens = _tokenize(text)
         self._pos = 0
 
     def peek(self) -> _Token:
@@ -153,51 +131,53 @@ class _Parser:
         self._pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str) -> _Token:
         tok = self.peek()
         if tok[0] != kind:
-            raise _unexpected(tok, (what,))
+            what = {"name": "name", "end": "end of input"}.get(kind, f"'{kind}'")
+            raise _unexpected(self._text, tok, (what,))
         return self.take()
 
     def name(self) -> Atom:
-        tok = self.expect("name", "name")
+        tok = self.expect("name")
         try:
             return parse_atom(tok[1])
         except ValueError:  # an index with a leading zero
             expected = ("name without a leading zero in its index",)
-            raise _unexpected(tok, expected) from None
+            raise _unexpected(self._text, tok, expected) from None
 
     def meta(self) -> MetaExpr:
-        if self.peek()[0] == "lbrace":
+        if self.peek()[0] == "{":
             self.take()
             var = self.name()
-            self.expect("assign", "':='")
+            self.expect(":=")
             arg = self.meta()
-            self.expect("rbrace", "'}'")
+            self.expect("}")
             return Meta(self.meta(), var, arg)
         return Lit(self.expr(extra=("'{'",)))
 
     def expr(self, extra: tuple[str, ...] = ()) -> Term:
         kind = self.peek()[0]
-        if kind == "lambda":
+        if kind == "\\":
             self.take()
             binder = self.name()
-            self.expect("dot", "'.'")
+            self.expect(".")
             return Abs(binder, self.expr())
-        if kind == "lbracket":
+        if kind == "[":
             self.take()
             binder = self.name()
-            self.expect("assign", "':='")
+            self.expect(":=")
             arg = self.expr()
-            self.expect("rbracket", "']'")
+            self.expect("]")
             return ESub(self.expr(), binder, arg)
-        if kind in ("name", "lparen"):
+        if kind in ("name", "("):
             return self.app()
-        raise _unexpected(self.peek(), ("name", "'('", "'\\'", "'['") + extra)
+        expected = ("name", "'('", "'\\'", "'['") + extra
+        raise _unexpected(self._text, self.peek(), expected)
 
     def app(self) -> Term:
         t = self.atom()
-        while self.peek()[0] in ("name", "lparen"):
+        while self.peek()[0] in ("name", "("):
             t = App(t, self.atom())
         return t
 
@@ -206,18 +186,16 @@ class _Parser:
             return Var(self.name())
         self.take()
         t = self.expr()
-        self.expect("rparen", "')'")
+        self.expect(")")
         return t
 
 
 def parse(text: str) -> MetaExpr:
     """Parse ``text``; raises :class:`ParseError` on bad input (including
     empty input and unbalanced brackets)."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     out = parser.meta()
-    tok = parser.peek()
-    if tok[0] != "end":
-        raise _unexpected(tok, ("end of input",))
+    parser.expect("end")
     return out
 
 

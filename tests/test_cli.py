@@ -278,6 +278,14 @@ def test_check_byte_identical_across_runs(capsys):
     assert first == second
 
 
+def test_check_restores_the_recursion_limit(capsys):
+    before = sys.getrecursionlimit()
+    code, _, _ = run(capsys, "check", "--lemma", "swap_id", "--cases", "1",
+                     "--max-size", "3000")
+    assert code == 0
+    assert sys.getrecursionlimit() == before
+
+
 @pytest.mark.parametrize(
     "fmt, expected",
     [
@@ -294,6 +302,7 @@ def test_check_byte_identical_across_runs(capsys):
             "#   t = x x\n",
         ),
     ],
+    ids=["text", "tsv"],
 )
 def test_check_failing_law_report(capsys, monkeypatch, fmt, expected):
     # a deliberately false statement, listed so that --lemma accepts it

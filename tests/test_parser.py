@@ -1,3 +1,6 @@
+import hashlib
+from itertools import product
+
 import pytest
 from hypothesis import given
 
@@ -102,6 +105,29 @@ def test_parse_error_trailing_input():
     with pytest.raises(ParseError) as info:
         parse("x \\y. y z )")
     assert "end of input" in info.value.expected
+
+
+_PIECES = (
+    "x", "y0", "x01", " ", "\t", "\n", "\r\n", "\\", "λ", ".", ":=", ":",
+    "(", ")", "[", "]", "{", "}", "π",
+)
+
+
+def test_parse_outcomes_are_pinned():
+    # every string of 1-4 pieces: its result, or its error's position,
+    # expected tokens, found token and message
+    digest = hashlib.sha256()
+    for k in range(1, 5):
+        for pieces in product(_PIECES, repeat=k):
+            text = "".join(pieces)
+            try:
+                outcome = repr(parse(text))
+            except ParseError as err:
+                outcome = repr((err.line, err.column, err.expected, err.found, str(err)))
+            digest.update(f"{text!r}\t{outcome}\n".encode())
+    assert digest.hexdigest() == (
+        "d39b5867690797eeb683928bcfa2f156923f30d3461e27cdb90a6bf7ab04baa7"
+    )
 
 
 def test_eval_meta():
