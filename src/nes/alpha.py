@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Union
 
 from .atoms import Atom
-from .term import Abs, App, ESub, Term, Var, _Record, free_in
+from .term import Abs, App, ESub, Term, Var, _Record, _term, free_in
 
 
 class BVar(_Record):
@@ -113,11 +113,15 @@ def aeq(t1: Term, t2: Term) -> bool:
     permutation ``pi`` (and its inverse), composed one transposition per
     renamed binder and applied as ``t2``'s atoms are read, so each step
     compares ``t1`` with ``pi . t2``.  The premise ``x not in fv(pi . body)``
-    is asked as ``pi^-1(x) not free in body``.  Every recursive call strictly
-    decreases term size.
+    is asked as ``pi^-1(x) not free in body``: one bit of the free-atom mask
+    the body's node keeps.  Under the empty permutation a subterm compared
+    with itself is equal at once.  Every recursive call strictly decreases
+    term size.
     """
 
     def go(t1: Term, t2: Term, pi: dict[Atom, Atom], inv: dict[Atom, Atom]) -> bool:
+        if t1 is t2 and not pi:
+            return True
         tp = type(t1)
         if tp is not type(t2):
             return False
@@ -126,8 +130,6 @@ def aeq(t1: Term, t2: Term) -> bool:
             return t1.atom is (pi.get(a, a) if pi else a)
         if tp is App:
             return go(t1.fun, t2.fun, pi, inv) and go(t1.arg, t2.arg, pi, inv)
-        if tp is not Abs and tp is not ESub:
-            raise TypeError(f"not a term: {t1!r}")
         if tp is ESub and not go(t1.arg, t2.arg, pi, inv):
             return False
         x, b = t1.binder, t2.binder
@@ -140,7 +142,9 @@ def aeq(t1: Term, t2: Term) -> bool:
             pi, inv = {**pi, b: x, ix: y}, {**inv, x: b, y: ix}
         return go(t1.body, t2.body, pi, inv)
 
-    return go(t1, t2, {}, {})
+    # a constructor takes only terms as children, so only the roots are
+    # checked
+    return go(_term(t1), _term(t2), {}, {})
 
 
 def render_canonical(c: CanonicalTerm) -> str:

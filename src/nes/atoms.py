@@ -1,15 +1,24 @@
 """Variable names ("atoms") and deterministic fresh-name generation.
 
 A finite set of atoms is a plain ``frozenset``: it has no order, and
-``sorted(atoms, key=Atom.sort_key)`` gives the display order.
+``sorted(atoms, key=Atom.sort_key)`` gives the display order.  Inside the
+library a set of atoms is also a bit mask: each atom owns the bit
+``1 << k`` of its interning number ``k``, so a union is ``|`` and a
+membership test is ``&``; ``atoms_of`` decodes a mask.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Container
 
 # Every atom ever built, keyed by (base, index).  Only valid atoms enter.
 _INTERNED: dict[tuple[str, int | None], Atom] = {}
+# The same atoms by interning number: the atom of bit ``1 << k`` is
+# ``_BY_NUMBER[k]``.  Numbers come from one counter, whose ``next`` no
+# other thread can interleave, so no two atoms share a bit.
+_NUMBERS = count()
+_BY_NUMBER: dict[int, Atom] = {}
 
 
 class Atom:
@@ -19,10 +28,11 @@ class Atom:
     displays as ``x0``.  Atoms are interned: there is exactly one object
     per (base, index), so ``Atom("x") is Atom("x")`` and equality and
     hashing are object identity.  Immutable; copying or unpickling an
-    atom returns that same object.
+    atom returns that same object.  ``_bit`` is ``1 << k`` for the atom's
+    interning number ``k``: its place in every atom mask.
     """
 
-    __slots__ = ("base", "index")
+    __slots__ = ("base", "index", "_bit")
 
     base: str
     index: int | None
@@ -38,6 +48,11 @@ class Atom:
             atom = object.__new__(cls)
             object.__setattr__(atom, "base", base)
             object.__setattr__(atom, "index", index)
+            k = next(_NUMBERS)
+            object.__setattr__(atom, "_bit", 1 << k)
+            _BY_NUMBER[k] = atom
+            # an atom that loses a race for its name here is dropped, and
+            # its number is never used
             atom = _INTERNED.setdefault((base, index), atom)
         return atom
 
@@ -67,6 +82,29 @@ def _is_base(text: str) -> bool:
             and text[0].isalpha() and text[-1].isalpha())
 
 
+def atoms_of(mask: int) -> frozenset[Atom]:
+    """The atoms whose bits are set in ``mask``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(_BY_NUMBER[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
+
+
+class Mask:
+    """The atoms of a bit mask as a container for ``fresh``: ``a in
+    Mask(m)`` is one bit test, and no set is built."""
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask: int) -> None:
+        self.mask = mask
+
+    def __contains__(self, a: Atom) -> bool:
+        return self.mask & a._bit != 0
+
+
 def parse_atom(text: str) -> Atom:
     """Decode the display form of an atom: trailing digits are the index.
     An index of two or more digits may not start with ``0`` (``x01`` is no
@@ -83,9 +121,9 @@ def fresh(avoid: Container[Atom], hint: Atom) -> Atom:
     base with indices 0, 1, 2, ... in order.
 
     ``avoid`` is anything that answers ``in``: a set, a tuple, or an object
-    whose ``__contains__`` decides membership without building a set (as
-    ``msubst`` does).  Total and deterministic; the indices are unbounded so
-    some candidate is always free.
+    whose ``__contains__`` decides membership without building a set (a
+    ``Mask``, or ``msubst``'s avoid set).  Total and deterministic; the
+    indices are unbounded so some candidate is always free.
     """
     if hint not in avoid:
         return hint

@@ -16,42 +16,46 @@ atoms of ``u``, the free atoms of the binder's own term, and ``x``:
 Fresh names come from :func:`nes.atoms.fresh` with the original binder as
 the hint, so the result is a pure function of the inputs.  The avoid set is
 never built: ``fresh`` asks each candidate's membership of a predicate that
-reads ``fv(u)``, compares with ``x`` and asks ``free_in`` of the binder's
-own term, which stops at the first free occurrence.  The recursion
-terminates because swapping preserves size, so every call strictly
-decreases it.
+tests its bit in the free-atom mask of ``u``, compares it with ``x`` and
+asks ``free_in`` of the binder's own term, a test of one bit of the mask
+that term's node keeps, so each probe costs the same at any size.  The
+recursion terminates because swapping preserves size, so every call
+strictly decreases it.
 
 The equations are computed as written, but the swaps are not built: the
 renamings on the way down are carried as one atom permutation, composed one
 transposition per renamed binder and applied as atoms are read (a subterm
-left alone under ``x``'s own binder is permuted once, in one pass).
+left alone under ``x``'s own binder is permuted once, in one pass).  A node
+whose rebuilt children are the very objects it holds comes back itself.
 """
 
 from __future__ import annotations
 
 from .atoms import Atom, fresh
-from .term import Abs, App, ESub, Term, Var, free_in, fv_nom, permute
+from .term import Abs, App, ESub, Term, Var, _term, free_in, permute
 
 
 class _Avoid:
     """The avoid set ``pi(fv(t)) | fv(u) | {x}`` of a forced rename, asked
     one candidate at a time: ``c = pi(a)`` exactly when ``a = inv(c)``, so
     ``c`` is in ``pi(fv(t))`` exactly when ``inv(c)`` is free in ``t``.
-    The caller has found the hint taken, so asking it walks nothing."""
+    ``fv(u)`` is ``u``'s free-atom mask, so every question is a few bit
+    tests and a ``free_in``, itself one bit test.  The caller has found the
+    hint taken, so asking it asks nothing more."""
 
     __slots__ = ("hint", "fv_u", "x", "t", "inv")
 
-    def __init__(self, hint: Atom, fv_u: frozenset[Atom], x: Atom, t: Term,
+    def __init__(self, hint: Atom, fv_u: int, x: Atom, t: Term,
                  inv: dict[Atom, Atom]) -> None:
         self.hint, self.fv_u, self.x, self.t, self.inv = hint, fv_u, x, t, inv
 
     def __contains__(self, c: Atom) -> bool:
-        return (c is self.hint or c in self.fv_u or c is self.x
+        return (c is self.hint or self.fv_u & c._bit != 0 or c is self.x
                 or free_in(self.inv.get(c, c), self.t))
 
 
 def msubst(t: Term, u: Term, x: Atom) -> Term:
-    fv_u = fv_nom(u)  # kept on u's node for the next call
+    fv_u = _term(u)._free  # u's free atoms, as a mask
 
     # go(t, pi, inv) substitutes into pi . t, where pi (with its inverse
     # inv) is the composition of the binder renamings made above t
@@ -63,21 +67,23 @@ def msubst(t: Term, u: Term, x: Atom) -> Term:
                 return u
             return t if a is t.atom else Var(a)
         if tp is App:
-            return App(go(t.fun, pi, inv), go(t.arg, pi, inv))
-        if tp is not Abs and tp is not ESub:
-            raise TypeError(f"not a term: {t!r}")
+            fun, arg = go(t.fun, pi, inv), go(t.arg, pi, inv)
+            return t if fun is t.fun and arg is t.arg else App(fun, arg)
         b = t.binder
         y = pi.get(b, b) if pi else b  # the binder of pi . t
         if y is x:
             if tp is Abs:
                 return permute(pi, t)
-            return ESub(permute(pi, t.body), y, go(t.arg, pi, inv))
+            body, arg = permute(pi, t.body), go(t.arg, pi, inv)
+            if body is t.body and y is b and arg is t.arg:
+                return t
+            return ESub(body, y, arg)
         # The avoid set is pi(fv(t)) | fv(u) | {x}.  y is not free in pi . t
         # and is not x, so the hint y is taken unless it is in fv(u) or, for
         # an ESub, free in pi . arg (that is, b free in arg).  Only a failed
         # hint asks fresh, which probes the set through _Avoid.
         z = y
-        if y in fv_u or tp is ESub and free_in(b, t.arg):
+        if fv_u & y._bit or tp is ESub and free_in(b, t.arg):
             z = fresh(_Avoid(y, fv_u, x, t, inv), y)
         # the argument sits outside the binder, under the renamings above t
         arg = go(t.arg, pi, inv) if tp is ESub else None
@@ -86,6 +92,9 @@ def msubst(t: Term, u: Term, x: Atom) -> Term:
             iz = inv.get(z, z)
             pi, inv = {**pi, b: z, iz: y}, {**inv, z: b, y: iz}
         body = go(t.body, pi, inv)
+        if z is b and body is t.body and (tp is Abs or arg is t.arg):
+            return t
         return Abs(z, body) if tp is Abs else ESub(body, z, arg)
 
-    return go(t, {}, {})
+    # a constructor takes only terms as children, so only the root is checked
+    return go(_term(t), {}, {})

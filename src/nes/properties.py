@@ -14,7 +14,7 @@ import zlib
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .alpha import aeq, canonicalize
-from .atoms import Atom, fresh
+from .atoms import Atom, Mask, atoms_of, fresh
 from .parser import Lit, parse
 from .term import (
     Abs,
@@ -23,7 +23,6 @@ from .term import (
     Term,
     Var,
     _Record,
-    all_atoms,
     free_in,
     fv_nom,
     permute,
@@ -41,14 +40,18 @@ DEFAULT_POOL: tuple[Atom, ...] = (
 _M64 = (1 << 64) - 1
 
 # Node budget of a config's term memo.  A stored term holds at most
-# max_size nodes; its dict slot, key and share of the dict's spare room, and
-# the two atom sets its root node may keep, cost about _ENTRY_NODES nodes
-# more.  The default ``nes check`` reads 4 term slots per case over 10 000
-# cases at max size 20: 4 * 10_000 * (20 + _ENTRY_NODES) = 1 280 000 nodes.
+# max_size nodes (about 59 B each, masks included); its dict slot, key and
+# share of the dict's spare room cost about one node more, and the budget
+# counts each entry as max_size + _ENTRY_NODES nodes.  Filled to its limit,
+# the memo measured 18.6, 23.5, 32.6, 33.8, 25.9 and 15.0 MB at max size 1,
+# 2, 5, 20, 100 and 1000 (tracemalloc): 5 is the smallest count at which no
+# max size fills more than max size 20 (at 4, max size 5 filled 34.4 MB).
+# The default ``nes check`` reads 4 term slots per case over 10 000 cases
+# at max size 20: 4 * 10_000 * (20 + _ENTRY_NODES) = 1 000 000 nodes.
 # Positions below _MEMO_NODES // (max_size + _ENTRY_NODES) are memoised,
-# which covers that run completely and keeps the memo, kept sets included,
-# under one ceiling (about 55 MB) for any --cases or --max-size.
-_ENTRY_NODES = 12
+# which covers that run completely and keeps the memo under one ceiling
+# (about 34 MB) for any --cases or --max-size.
+_ENTRY_NODES = 5
 _MEMO_NODES = 4 * 10_000 * (20 + _ENTRY_NODES)
 
 
@@ -318,58 +321,59 @@ def _swap_out(t: Term, a: Atom) -> Term:
     (``a`` is swapped with an entirely fresh atom when necessary)."""
     if not free_in(a, t):
         return t
-    c = fresh(all_atoms(t), a)  # a is free in t, so it occurs in t
+    c = fresh(Mask(t._atoms), a)  # a is free in t, so it occurs in t
     return swap(a, c, t)
 
 
-def _candidates(
-    d: _Draw, free: frozenset[Atom], atoms: frozenset[Atom] | set[Atom]
-) -> list[Atom]:
-    """The atoms ``_not_free`` picks from for a term with free atoms
-    ``free`` and occurring atoms ``atoms``: the pool's, then the bound
+def _candidates(d: _Draw, free: int, atoms: int) -> list[Atom]:
+    """The atoms ``_not_free`` picks from for a term with free-atom mask
+    ``free`` and occurring-atom mask ``atoms``: the pool's, then the bound
     ones, none of them free."""
-    candidates = [a for a in d.config.atom_pool if a not in free]
-    # ``atoms`` is an unordered set; sorting keeps what a seed draws
-    candidates.extend(
-        sorted(
-            (a for a in atoms if a not in free and a not in candidates),
-            key=Atom.sort_key,
-        )
-    )
+    candidates = [a for a in d.config.atom_pool if not free & a._bit]
+    rest = atoms & ~free
+    for a in candidates:
+        rest &= ~a._bit
+    if rest:
+        # a mask has no order; sorting keeps what a seed draws
+        candidates.extend(sorted(atoms_of(rest), key=Atom.sort_key))
     return candidates
 
 
-def _not_free(
-    d: _Draw, candidates: list[Atom], atoms: frozenset[Atom] | set[Atom]
-) -> Atom:
+def _not_free(d: _Draw, candidates: list[Atom], atoms: int) -> Atom:
     """An atom that is not free in a term: one of its ``_candidates`` when
-    there are any, otherwise one fresh for its occurring ``atoms`` (an
-    alpha-variant drawer passes those of the variant it has built so
-    far)."""
+    there are any, otherwise one fresh for its occurring-atom mask
+    ``atoms`` (an alpha-variant drawer passes that of the variant it has
+    built so far)."""
     if candidates:
         return d.rng.choice(candidates)
-    return fresh(atoms, d.config.atom_pool[0])
+    return fresh(Mask(atoms), d.config.atom_pool[0])
 
 
 def _alpha_variant(d: _Draw, t: Term) -> Term:
     """Rename bound atoms of ``t`` by swapping atoms that are not free in
     it; the result is always alpha-equivalent to ``t``."""
-    # Neither swapped atom is free in t, so its free atoms stay the same
-    # and its occurring atoms map through the swap.  The swaps compose into
-    # pi, a map from t's atoms to the variant's, applied once at the end.
-    free, atoms = fv_nom(t), all_atoms(t)
-    pi = {a: a for a in atoms}
+    # Neither swapped atom is free in t, so its free atoms stay the same.
+    # The swaps compose into pi, which maps t's atoms to the variant's, and
+    # its inverse inv; each swap rewrites only the two entries that reach
+    # its atoms, and flips the variant's occurring-atom mask when exactly
+    # one of them occurs.  pi is applied once at the end.
+    free, atoms = t._free, t._atoms
+    pi: dict[Atom, Atom] = {}
+    inv: dict[Atom, Atom] = {}
     for _ in range(1 + d.rng.choose(3)):
         candidates = _candidates(d, free, atoms)
         x = _not_free(d, candidates, atoms)
         if d.rng.choose(2):
-            y = fresh(atoms | {x}, x)
+            y = fresh(Mask(atoms | x._bit), x)
         else:
             y = _not_free(d, candidates, atoms)
-        pi = {a: vswap(x, y, b) for a, b in pi.items()}
-        atoms = set(pi.values())
-    # only the atoms that move: a map that is the identity on t returns t
-    return permute({a: b for a, b in pi.items() if a is not b}, t)
+        ax, ay = inv.get(x, x), inv.get(y, y)
+        pi[ax], pi[ay] = y, x
+        inv[y], inv[x] = ax, ay
+        xy = x._bit | y._bit
+        if atoms & xy not in (0, xy):  # exactly one of x, y occurs
+            atoms ^= xy
+    return permute(pi, t)
 
 
 def _variant_or_fresh(d: _Draw, t: Term) -> Term:
@@ -378,13 +382,13 @@ def _variant_or_fresh(d: _Draw, t: Term) -> Term:
     return d.term()
 
 
-def _pick_avoiding(d: _Draw, avoid: frozenset[Atom]) -> Atom:
-    """An atom outside ``avoid``: a pool atom when one qualifies, else a
-    fresh one seeded by a random pool hint."""
-    candidates = [a for a in d.config.atom_pool if a not in avoid]
+def _pick_avoiding(d: _Draw, avoid: int) -> Atom:
+    """An atom outside the mask ``avoid``: a pool atom when one qualifies,
+    else a fresh one seeded by a random pool hint."""
+    candidates = [a for a in d.config.atom_pool if not avoid & a._bit]
     if candidates:
         return d.rng.choice(candidates)
-    return fresh(avoid, d.atom())
+    return fresh(Mask(avoid), d.atom())
 
 
 # --------------------------------------------------------------------------
@@ -412,9 +416,7 @@ _KINDS: dict[str, Callable[[_Draw, object], object]] = {
     "swap_out": lambda d, s: _swap_out(d.term(), s),
     "variant": _alpha_variant,
     "variant_or_fresh": _variant_or_fresh,
-    "not_free": lambda d, s: _not_free(
-        d, _candidates(d, fv_nom(s), all_atoms(s)), all_atoms(s)
-    ),
+    "not_free": lambda d, s: _not_free(d, _candidates(d, s._free, s._atoms), s._atoms),
 }
 
 
@@ -453,14 +455,14 @@ def _d_notin_remove_swap(d: _Draw) -> dict:
 def _d_abs_neq(d: _Draw) -> dict:
     t, u, x = d.term(), d.term(), d.atom()
     y = _distinct_from(x, d.atom())
-    z = _pick_avoiding(d, fv_nom(u) | fv_nom(Abs(y, t)) | {x})
+    z = _pick_avoiding(d, u._free | Abs(y, t)._free | x._bit)
     return {"t": t, "u": u, "x": x, "y": y, "z": z}
 
 
 def _d_sub_neq(d: _Draw) -> dict:
     t1, t2, u, x = d.term(), d.term(), d.term(), d.atom()
     y = _distinct_from(x, d.atom())
-    z = _pick_avoiding(d, fv_nom(u) | fv_nom(ESub(t1, y, t2)) | {x})
+    z = _pick_avoiding(d, u._free | ESub(t1, y, t2)._free | x._bit)
     return {"t1": t1, "t2": t2, "u": u, "x": x, "y": y, "z": z}
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .atoms import Atom
+from .atoms import Atom, atoms_of
 
 
 class _Record:
@@ -72,12 +72,15 @@ class _Record:
 
 
 class Var(_Record):
-    __slots__ = ("atom",)
+    __slots__ = ("atom", "_free")
     __match_args__ = ("atom",)
     atom: Atom
 
     def __init__(self, atom: Atom) -> None:
+        if type(atom) is not Atom:
+            raise TypeError(f"not an atom: {atom!r}")
         _set_atom(self, atom)
+        _set_var_free(self, atom._bit)
 
 
 class Abs(_Record):
@@ -87,8 +90,15 @@ class Abs(_Record):
     body: "Term"
 
     def __init__(self, binder: Atom, body: "Term") -> None:
+        if type(binder) is not Atom:
+            raise TypeError(f"not an atom: {binder!r}")
+        if type(body) not in _TERMS:
+            raise TypeError(f"not a term: {body!r}")
+        bit = binder._bit
         _set_abs_binder(self, binder)
         _set_abs_body(self, body)
+        _set_abs_free(self, (body._free | bit) ^ bit)
+        _set_abs_atoms(self, body._atoms | bit)
 
 
 class App(_Record):
@@ -98,8 +108,14 @@ class App(_Record):
     arg: "Term"
 
     def __init__(self, fun: "Term", arg: "Term") -> None:
+        if type(fun) not in _TERMS:
+            raise TypeError(f"not a term: {fun!r}")
+        if type(arg) not in _TERMS:
+            raise TypeError(f"not a term: {arg!r}")
         _set_fun(self, fun)
         _set_app_arg(self, arg)
+        _set_app_free(self, fun._free | arg._free)
+        _set_app_atoms(self, fun._atoms | arg._atoms)
 
 
 class ESub(_Record):
@@ -116,17 +132,35 @@ class ESub(_Record):
     arg: "Term"
 
     def __init__(self, body: "Term", binder: Atom, arg: "Term") -> None:
+        if type(body) not in _TERMS:
+            raise TypeError(f"not a term: {body!r}")
+        if type(binder) is not Atom:
+            raise TypeError(f"not an atom: {binder!r}")
+        if type(arg) not in _TERMS:
+            raise TypeError(f"not a term: {arg!r}")
+        bit = binder._bit
         _set_esub_body(self, body)
         _set_esub_binder(self, binder)
         _set_esub_arg(self, arg)
+        _set_esub_free(self, (body._free | bit) ^ bit | arg._free)
+        _set_esub_atoms(self, body._atoms | bit | arg._atoms)
 
 
-_set_atom = Var.atom.__set__
+# Every node keeps two atom masks (see ``nes.atoms``), filled by its
+# constructor from its children's: ``_free``, its free atoms, and
+# ``_atoms``, every atom occurring in it, binders included.  A leaf's two
+# masks are its atom's bit, so one slot serves as both.
+Var._atoms = Var._free
+_TERMS = frozenset((Var, Abs, App, ESub))
+_set_atom, _set_var_free = Var.atom.__set__, Var._free.__set__
 _set_abs_binder, _set_abs_body = Abs.binder.__set__, Abs.body.__set__
+_set_abs_free, _set_abs_atoms = Abs._free.__set__, Abs._atoms.__set__
 _set_fun, _set_app_arg = App.fun.__set__, App.arg.__set__
+_set_app_free, _set_app_atoms = App._free.__set__, App._atoms.__set__
 _set_esub_body, _set_esub_binder, _set_esub_arg = (
     ESub.body.__set__, ESub.binder.__set__, ESub.arg.__set__
 )
+_set_esub_free, _set_esub_atoms = ESub._free.__set__, ESub._atoms.__set__
 
 Term = Union[Var, Abs, App, ESub]
 
@@ -187,102 +221,34 @@ def size(t: Term) -> int:
     return n
 
 
-def _fv(t: Term) -> tuple[set[Atom], dict[Atom, int]]:
-    # One pass with shadow counts per atom: entries on the stack are either
-    # a term to visit or (atom,) marking the end of that binder's scope.
-    # Returns the free atoms and the binders (the shadow map's keys).
-    free: set[Atom] = set()
-    shadow: dict[Atom, int] = {}
-    stack: list = [t]
-    while stack:
-        node = stack.pop()
-        tp = type(node)
-        if tp is Var:
-            a = node.atom
-            if not shadow.get(a):
-                free.add(a)
-        elif tp is App:
-            stack.append(node.fun)
-            stack.append(node.arg)
-        elif tp is Abs or tp is ESub:
-            x = node.binder
-            if tp is ESub:
-                stack.append(node.arg)  # the argument sits outside the binder
-            shadow[x] = shadow.get(x, 0) + 1
-            stack.append((x,))
-            stack.append(node.body)
-        elif tp is tuple:
-            shadow[node[0]] -= 1
-        else:
-            raise TypeError(f"not a term: {node!r}")
-    return free, shadow
-
-
-def _free_and_occurring(t: Term) -> tuple[frozenset[Atom], frozenset[Atom]]:
-    """``t``'s free and occurring atoms, kept on a compound node.
-
-    ``Abs``, ``App`` and ``ESub`` keep them as frozensets in ``_free``/
-    ``_atoms`` slots that start empty and are filled together, by one walk
-    (so a node keeps both sets or neither), only at a node asked directly
-    (``fv_nom``, ``all_atoms``, ``msubst``'s ``fv(u)``), never at the
-    subterms a traversal passes through: a forced rename in ``msubst``
-    asks ``free_in`` of the binder's own term and keeps nothing.  A ``Var``
-    keeps nothing either; only this module reads or fills the slots."""
-    if type(t) is Var:
-        atoms = frozenset((t.atom,))
-        return atoms, atoms
-    atoms = getattr(t, "_atoms", None)
-    if atoms is None:
-        free, binders = _fv(t)
-        # an atom of a Var that is not free is bound, so the free atoms and
-        # the binders cover every occurring atom
-        atoms = frozenset(free.union(binders))
-        object.__setattr__(t, "_free", frozenset(free))
-        object.__setattr__(t, "_atoms", atoms)
-    return t._free, atoms
+def _term(t: object) -> Term:
+    # ``t`` itself, once it is known to be a term
+    if type(t) not in _TERMS:
+        raise TypeError(f"not a term: {t!r}")
+    return t
 
 
 def fv_nom(t: Term) -> frozenset[Atom]:
     """Free atoms of ``t``.  Both binder forms remove their bound name from
     the body's contribution; an explicit substitution's argument is free.
-    The set is kept on ``t``'s node, so asking again costs no walk."""
-    return _free_and_occurring(t)[0]
+    Decoded from the mask ``t``'s node keeps, so it walks nothing."""
+    return atoms_of(_term(t)._free)
 
 
 def all_atoms(t: Term) -> frozenset[Atom]:
-    """Every atom occurring in ``t``, bound or free, binders included; kept
-    on ``t``'s node like ``fv_nom``."""
-    return _free_and_occurring(t)[1]
+    """Every atom occurring in ``t``, bound or free, binders included;
+    decoded from ``t``'s node like ``fv_nom``."""
+    return atoms_of(_term(t)._atoms)
 
 
 def free_in(a: Atom, t: Term) -> bool:
-    """Whether ``a`` is free in ``t``: ``a in fv_nom(t)``, read from ``t``'s
-    node when its free atoms are kept there, and otherwise without building
-    the set.  The walk stops at the first free occurrence and never
-    descends under a binder named ``a``."""
-    known = getattr(t, "_free", None)
-    if known is not None:
-        return a in known
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        tp = type(node)
-        if tp is Var:
-            if node.atom is a:
-                return True
-        elif tp is App:
-            stack.append(node.fun)
-            stack.append(node.arg)
-        elif tp is Abs:
-            if node.binder is not a:
-                stack.append(node.body)
-        elif tp is ESub:
-            stack.append(node.arg)  # the argument sits outside the binder
-            if node.binder is not a:
-                stack.append(node.body)
-        else:
-            raise TypeError(f"not a term: {node!r}")
-    return False
+    """Whether ``a`` is free in ``t``: ``a in fv_nom(t)``, read as one bit
+    of the free-atom mask ``t``'s node keeps."""
+    try:
+        return t._free & a._bit != 0
+    except (AttributeError, TypeError):  # a non-term has no int mask
+        _term(t)
+        raise TypeError(f"not an atom: {a!r}") from None
 
 
 def vswap(x: Atom, y: Atom, z: Atom) -> Atom:
@@ -297,29 +263,28 @@ def vswap(x: Atom, y: Atom, z: Atom) -> Atom:
 def permute(pi: dict[Atom, Atom], t: Term) -> Term:
     """Apply the atom permutation ``pi`` (or its restriction to ``t``'s
     atoms) at every atom position of ``t``, binders included, in one pass.
-    Atoms absent from ``pi`` are fixed; a subterm that does not change
-    comes back as the same object."""
-    if not pi:
+    Atoms absent from ``pi`` are fixed.  A subterm whose atom mask holds
+    none of the atoms ``pi`` moves does not change, and comes back as the
+    same object without being entered; every other subterm changes."""
+    moved = 0
+    for a, b in pi.items():
+        if a is not b:
+            moved |= a._bit
+    if not _term(t)._atoms & moved:
         return t
     get = pi.get
 
     def go(t: Term) -> Term:
+        if not t._atoms & moved:
+            return t
         tp = type(t)
         if tp is Var:
-            a = get(t.atom, t.atom)
-            return t if a is t.atom else Var(a)
+            return Var(get(t.atom))
         if tp is Abs:
-            x, body = get(t.binder, t.binder), go(t.body)
-            return t if x is t.binder and body is t.body else Abs(x, body)
+            return Abs(get(t.binder, t.binder), go(t.body))
         if tp is App:
-            fun, arg = go(t.fun), go(t.arg)
-            return t if fun is t.fun and arg is t.arg else App(fun, arg)
-        if tp is ESub:
-            body, x, arg = go(t.body), get(t.binder, t.binder), go(t.arg)
-            if body is t.body and x is t.binder and arg is t.arg:
-                return t
-            return ESub(body, x, arg)
-        raise TypeError(f"not a term: {t!r}")
+            return App(go(t.fun), go(t.arg))
+        return ESub(go(t.body), get(t.binder, t.binder), go(t.arg))
 
     return go(t)
 

@@ -2,12 +2,15 @@ import copy
 import itertools
 import pickle
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from nes import Abs, Atom, ESub, Var, fresh, parse_atom
+from nes.atoms import atoms_of
 from strategies import atoms
 
 x, y = Atom("x"), Atom("y")
@@ -81,6 +84,35 @@ def test_atoms_are_interned():
     assert pickle.loads(pickle.dumps(x0)) is x0
     t = ESub(Abs(x, Var(x0)), y, Var(x1))
     assert copy.deepcopy(t) == t
+
+
+def test_atoms_made_in_several_threads_own_distinct_bits():
+    # each thread makes atoms of its own base and of one shared base
+    made = [[] for _ in range(4)]
+
+    def work(out, base):
+        for i in range(1000):
+            out += (Atom(base, i), Atom("shared", i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(out, f"thread{'abcd'[k]}"))
+            for k, out in enumerate(made)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(out[1::2] == made[0][1::2] for out in made)  # one shared atom each
+    atoms = {a for out in made for a in out}
+    assert len(atoms) == 5 * 1000
+    assert len({a._bit for a in atoms}) == len(atoms)
+    assert all(atoms_of(a._bit) == {a} for a in atoms)
 
 
 def test_parse_atom_rejects_non_identifiers():

@@ -14,11 +14,13 @@ from nes import (
     enumerate_terms,
     fv_nom,
     msubst,
+    parse,
     render,
     size,
     swap,
     vswap,
 )
+from nes.atoms import atoms_of
 from nes.term import free_in, permute
 from strategies import POOL, _free_by_scope_walk, atoms, terms
 
@@ -62,10 +64,38 @@ def test_all_atoms_includes_binders():
     assert all_atoms(ESub(Var(z), x, Var(y))) == frozenset([x, y, z])
 
 
-@pytest.mark.parametrize("junk", ["junk", None, App(Var(x), "junk"), Abs(x, 3)])
+@pytest.mark.parametrize("junk", ["junk", None])
 def test_all_atoms_rejects_non_terms(junk):
     with pytest.raises(TypeError, match="not a term"):
         all_atoms(junk)
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (App, (Var(x), "junk"), "not a term"),
+        (App, (None, Var(x)), "not a term"),
+        (Abs, (x, 3), "not a term"),
+        (ESub, ("junk", x, Var(y)), "not a term"),
+        (ESub, (Var(x), x, Abs), "not a term"),
+        (Var, ("x",), "not an atom"),
+        (Abs, (Var(x), Var(x)), "not an atom"),
+        (ESub, (Var(x), None, Var(y)), "not an atom"),
+    ],
+    ids=["app-arg", "app-fun", "abs-body", "esub-body", "esub-arg",
+         "var-atom", "abs-binder", "esub-binder"],
+)
+def test_constructors_reject_bad_input(build, args, message):
+    with pytest.raises(TypeError, match=message):
+        build(*args)
+
+
+@pytest.mark.parametrize("junk", ["junk", Atom])
+def test_free_in_rejects_bad_input(junk):
+    with pytest.raises(TypeError, match="not a term"):
+        free_in(x, junk)
+    with pytest.raises(TypeError, match="not an atom"):
+        free_in(junk, Var(x))
 
 
 def _occurring_by_walk(t):
@@ -208,18 +238,6 @@ def test_equality_is_structural_and_equal_terms_hash_equal():
     assert Var(x) != Abs(x, Var(x)) and Var(x) != "x"
 
 
-def test_kept_atom_sets_match_the_walks_cold_and_warm():
-    for t in enumerate_terms(5, (x, y)):
-        t = copy.deepcopy(t)  # no slot of it filled by an earlier term
-        free, occurring = _free_by_scope_walk(t), _occurring_by_walk(t)
-        for warm in (False, True):
-            if type(t) is not Var:  # a leaf keeps nothing
-                assert (getattr(t, "_free", None) is not None) is warm
-            assert [free_in(a, t) for a in (x, y, z)] == [a in free for a in (x, y, z)]
-            assert all_atoms(t) == occurring
-            assert fv_nom(t) == free
-
-
 def _subterms(t):
     stack = [t]
     while stack:
@@ -228,8 +246,46 @@ def _subterms(t):
         stack.extend(getattr(node, f) for f in ("body", "fun", "arg") if hasattr(node, f))
 
 
+def _assert_masks_match_the_walks(t):
+    for node in _subterms(t):
+        assert atoms_of(node._free) == _free_by_scope_walk(node), node
+        assert atoms_of(node._atoms) == _occurring_by_walk(node), node
+
+
+def test_every_node_keeps_masks_that_match_the_walks():
+    u = App(Var(z), Abs(x, Var(y)))
+    for t in enumerate_terms(5, (x, y)):
+        for s in (
+            t, swap(x, y, t), swap(y, z, t), permute({x: z, z: y, y: x}, t),
+            msubst(t, u, x), msubst(t, Var(x), y),
+            parse(render(t)).term,
+            copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t)),
+        ):
+            _assert_masks_match_the_walks(s)
+            assert [free_in(a, s) for a in (x, y, z)] == [
+                a in _free_by_scope_walk(s) for a in (x, y, z)
+            ]
+
+
+def _masks(t):
+    return [(node._free, node._atoms) for node in _subterms(t)]
+
+
+def test_kept_atom_sets_match_the_walks_cold_and_warm():
+    for t in enumerate_terms(5, (x, y)):
+        t = copy.deepcopy(t)  # built afresh, never asked before
+        free, occurring = _free_by_scope_walk(t), _occurring_by_walk(t)
+        cold = _masks(t)  # filled by the constructors, before any ask
+        for _ in range(2):  # asking keeps and changes nothing
+            assert [free_in(a, t) for a in (x, y, z)] == [a in free for a in (x, y, z)]
+            assert all_atoms(t) == occurring
+            assert fv_nom(t) == free
+            assert _masks(t) == cold
+
+
 def test_msubst_keeps_no_atom_set_below_the_asked_node():
-    # every binder b_i is free in u, so each one is renamed on the way down
+    # every binder b_i is free in u, so each one is renamed on the way down;
+    # msubst reads the inputs' masks and writes none of them
     binders = [Atom("b", i) for i in range(200)]
     body = Var(x)
     for b in binders:
@@ -240,33 +296,41 @@ def test_msubst_keeps_no_atom_set_below_the_asked_node():
     u = Var(binders[0])
     for b in binders[1:]:
         u = App(u, Var(b))
+    before_t, before_u = _masks(t), _masks(u)
     result = msubst(t, u, x)
     assert result.binder is not binders[0]
-    assert getattr(u, "_free", None) is not None  # asked directly
-    for node in [*_subterms(t), *list(_subterms(u))[1:]]:
-        if type(node) is not Var:  # a leaf keeps nothing
-            assert getattr(node, "_free", None) is None, node
-            assert getattr(node, "_atoms", None) is None, node
+    assert _masks(t) == before_t and _masks(u) == before_u
+    _assert_masks_match_the_walks(result)
 
 
 def test_a_node_keeps_both_atom_sets_or_neither():
-    # each entry point on its own copy of the terms, so each one fills slots
+    # a node keeps both masks, always: free atoms within the occurring ones,
+    # and a leaf's two masks are one and the same
     asked_fv, asked_atoms, substituted = (
         [copy.deepcopy(t) for t in enumerate_terms(4, (x, y))] for _ in range(3)
     )
     for t in asked_fv:
-        assert fv_nom(t) is fv_nom(t) or type(t) is Var  # a leaf keeps nothing
+        assert fv_nom(t) == fv_nom(t)
     for t in asked_atoms:
-        assert all_atoms(t) is all_atoms(t) or type(t) is Var
+        assert all_atoms(t) == all_atoms(t)
     renaming = Abs(y, App(Var(x), Var(y)))
     results = [msubst(renaming, u, x) for u in substituted]
     for t in [*asked_fv, *asked_atoms, *substituted, *results, renaming]:
         for node in _subterms(t):
-            free, atoms = getattr(node, "_free", None), getattr(node, "_atoms", None)
-            assert (free is None) is (atoms is None), node
-            if atoms is not None:
-                assert free == _free_by_scope_walk(node), node
-                assert atoms == _occurring_by_walk(node), node
+            free, atoms = node._free, node._atoms
+            assert type(free) is int and type(atoms) is int, node
+            assert free & ~atoms == 0, node
+            if type(node) is Var:
+                assert free == atoms == node.atom._bit, node
+        _assert_masks_match_the_walks(t)
+
+
+@pytest.mark.parametrize("build", [_chain, _spine])
+def test_deep_terms_build_and_answer_free_in(build):
+    t = build(DEEP, Var(z))
+    free, occurring = {_chain: ({z}, {x, z}), _spine: ({x, y, z}, {x, y, z})}[build]
+    assert [free_in(a, t) for a in (x, y, z, w)] == [a in free for a in (x, y, z, w)]
+    assert fv_nom(t) == free and all_atoms(t) == occurring
 
 
 def test_copies_are_equal_and_fields_are_read_only():
