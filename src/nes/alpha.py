@@ -73,31 +73,31 @@ def canonicalize(t: Term) -> CanonicalTerm:
     Free atoms are kept by name, so two terms are alpha-equivalent exactly
     when their canonical forms are structurally equal.
     """
-    bound: list[Atom] = []
+    return _canon(t, [])
 
-    def go(t: Term) -> CanonicalTerm:
-        match t:
-            case Var(a):
-                for i in range(len(bound) - 1, -1, -1):
-                    if bound[i] is a:
-                        return BVar(len(bound) - 1 - i)
-                return FVar(a)
-            case Abs(x, body):
-                bound.append(x)
-                out = CLam(go(body))
-                bound.pop()
-                return out
-            case App(fun, arg):
-                return CApp(go(fun), go(arg))
-            case ESub(body, x, arg):
-                carg = go(arg)
-                bound.append(x)
-                cbody = go(body)
-                bound.pop()
-                return CSub(cbody, carg)
-        raise TypeError(f"not a term: {t!r}")
 
-    return go(t)
+# ``bound`` lists the binders above ``t``, innermost last
+def _canon(t: Term, bound: list[Atom]) -> CanonicalTerm:
+    match t:
+        case Var(a):
+            for i in range(len(bound) - 1, -1, -1):
+                if bound[i] is a:
+                    return BVar(len(bound) - 1 - i)
+            return FVar(a)
+        case Abs(x, body):
+            bound.append(x)
+            out = CLam(_canon(body, bound))
+            bound.pop()
+            return out
+        case App(fun, arg):
+            return CApp(_canon(fun, bound), _canon(arg, bound))
+        case ESub(body, x, arg):
+            carg = _canon(arg, bound)
+            bound.append(x)
+            cbody = _canon(body, bound)
+            bound.pop()
+            return CSub(cbody, carg)
+    raise TypeError(f"not a term: {t!r}")
 
 
 def aeq(t1: Term, t2: Term) -> bool:
@@ -118,33 +118,34 @@ def aeq(t1: Term, t2: Term) -> bool:
     with itself is equal at once.  Every recursive call strictly decreases
     term size.
     """
-
-    def go(t1: Term, t2: Term, pi: dict[Atom, Atom], inv: dict[Atom, Atom]) -> bool:
-        if t1 is t2 and not pi:
-            return True
-        tp = type(t1)
-        if tp is not type(t2):
-            return False
-        if tp is Var:
-            a = t2.atom
-            return t1.atom is (pi.get(a, a) if pi else a)
-        if tp is App:
-            return go(t1.fun, t2.fun, pi, inv) and go(t1.arg, t2.arg, pi, inv)
-        if tp is ESub and not go(t1.arg, t2.arg, pi, inv):
-            return False
-        x, b = t1.binder, t2.binder
-        y = pi.get(b, b) if pi else b  # the binder of pi . t2
-        if x is not y:
-            ix = inv.get(x, x)
-            if free_in(ix, t2.body):
-                return False
-            # the bodies compare under (y x) . pi
-            pi, inv = {**pi, b: x, ix: y}, {**inv, x: b, y: ix}
-        return go(t1.body, t2.body, pi, inv)
-
     # a constructor takes only terms as children, so only the roots are
     # checked
-    return go(_term(t1), _term(t2), {}, {})
+    return _aeq(_term(t1), _term(t2), {}, {})
+
+
+# whether t1 is alpha-equal to pi . t2; inv is pi's inverse
+def _aeq(t1: Term, t2: Term, pi: dict[Atom, Atom], inv: dict[Atom, Atom]) -> bool:
+    if t1 is t2 and not pi:
+        return True
+    tp = type(t1)
+    if tp is not type(t2):
+        return False
+    if tp is Var:
+        a = t2.atom
+        return t1.atom is (pi.get(a, a) if pi else a)
+    if tp is App:
+        return _aeq(t1.fun, t2.fun, pi, inv) and _aeq(t1.arg, t2.arg, pi, inv)
+    if tp is ESub and not _aeq(t1.arg, t2.arg, pi, inv):
+        return False
+    x, b = t1.binder, t2.binder
+    y = pi.get(b, b) if pi else b  # the binder of pi . t2
+    if x is not y:
+        ix = inv.get(x, x)
+        if free_in(ix, t2.body):
+            return False
+        # the bodies compare under (y x) . pi
+        pi, inv = {**pi, b: x, ix: y}, {**inv, x: b, y: ix}
+    return _aeq(t1.body, t2.body, pi, inv)
 
 
 def render_canonical(c: CanonicalTerm) -> str:

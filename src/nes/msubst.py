@@ -56,45 +56,48 @@ class _Avoid:
 
 def msubst(t: Term, u: Term, x: Atom) -> Term:
     fv_u = _term(u)._free  # u's free atoms, as a mask
-
-    # go(t, pi, inv) substitutes into pi . t, where pi (with its inverse
-    # inv) is the composition of the binder renamings made above t
-    def go(t: Term, pi: dict[Atom, Atom], inv: dict[Atom, Atom]) -> Term:
-        tp = type(t)
-        if tp is Var:
-            a = pi.get(t.atom, t.atom) if pi else t.atom
-            if a is x:
-                return u
-            return t if a is t.atom else Var(a)
-        if tp is App:
-            fun, arg = go(t.fun, pi, inv), go(t.arg, pi, inv)
-            return t if fun is t.fun and arg is t.arg else App(fun, arg)
-        b = t.binder
-        y = pi.get(b, b) if pi else b  # the binder of pi . t
-        if y is x:
-            if tp is Abs:
-                return permute(pi, t)
-            body, arg = permute(pi, t.body), go(t.arg, pi, inv)
-            if body is t.body and y is b and arg is t.arg:
-                return t
-            return ESub(body, y, arg)
-        # The avoid set is pi(fv(t)) | fv(u) | {x}.  y is not free in pi . t
-        # and is not x, so the hint y is taken unless it is in fv(u) or, for
-        # an ESub, free in pi . arg (that is, b free in arg).  Only a failed
-        # hint asks fresh, which probes the set through _Avoid.
-        z = y
-        if fv_u & y._bit or tp is ESub and free_in(b, t.arg):
-            z = fresh(_Avoid(y, fv_u, x, t, inv), y)
-        # the argument sits outside the binder, under the renamings above t
-        arg = go(t.arg, pi, inv) if tp is ESub else None
-        if z is not y:
-            # the body is swap y z (pi . body) = ((y z) . pi) . body
-            iz = inv.get(z, z)
-            pi, inv = {**pi, b: z, iz: y}, {**inv, z: b, y: iz}
-        body = go(t.body, pi, inv)
-        if z is b and body is t.body and (tp is Abs or arg is t.arg):
-            return t
-        return Abs(z, body) if tp is Abs else ESub(body, z, arg)
-
     # a constructor takes only terms as children, so only the root is checked
-    return go(_term(t), {}, {})
+    return _msubst(_term(t), u, x, fv_u, {}, {})
+
+
+# _msubst(t, u, x, fv_u, pi, inv) substitutes u for x in pi . t, where pi
+# (with its inverse inv) is the composition of the binder renamings made
+# above t and fv_u is u's free-atom mask
+def _msubst(t: Term, u: Term, x: Atom, fv_u: int,
+            pi: dict[Atom, Atom], inv: dict[Atom, Atom]) -> Term:
+    tp = type(t)
+    if tp is Var:
+        a = pi.get(t.atom, t.atom) if pi else t.atom
+        if a is x:
+            return u
+        return t if a is t.atom else Var(a)
+    if tp is App:
+        fun = _msubst(t.fun, u, x, fv_u, pi, inv)
+        arg = _msubst(t.arg, u, x, fv_u, pi, inv)
+        return t if fun is t.fun and arg is t.arg else App(fun, arg)
+    b = t.binder
+    y = pi.get(b, b) if pi else b  # the binder of pi . t
+    if y is x:
+        if tp is Abs:
+            return permute(pi, t)
+        body, arg = permute(pi, t.body), _msubst(t.arg, u, x, fv_u, pi, inv)
+        if body is t.body and y is b and arg is t.arg:
+            return t
+        return ESub(body, y, arg)
+    # The avoid set is pi(fv(t)) | fv(u) | {x}.  y is not free in pi . t
+    # and is not x, so the hint y is taken unless it is in fv(u) or, for
+    # an ESub, free in pi . arg (that is, b free in arg).  Only a failed
+    # hint asks fresh, which probes the set through _Avoid.
+    z = y
+    if fv_u & y._bit or tp is ESub and free_in(b, t.arg):
+        z = fresh(_Avoid(y, fv_u, x, t, inv), y)
+    # the argument sits outside the binder, under the renamings above t
+    arg = _msubst(t.arg, u, x, fv_u, pi, inv) if tp is ESub else None
+    if z is not y:
+        # the body is swap y z (pi . body) = ((y z) . pi) . body
+        iz = inv.get(z, z)
+        pi, inv = {**pi, b: z, iz: y}, {**inv, z: b, y: iz}
+    body = _msubst(t.body, u, x, fv_u, pi, inv)
+    if z is b and body is t.body and (tp is Abs or arg is t.arg):
+        return t
+    return Abs(z, body) if tp is Abs else ESub(body, z, arg)

@@ -86,10 +86,11 @@ class _Stream:
     def choose(self, n: int) -> int:
         """A choice in ``range(n)``: the next 64-bit output modulo ``n``."""
         self._counter = c = (self._counter + _GAMMA) & _M64
-        return _finalize(c) % n
-
-    def choice(self, seq):
-        return seq[self.choose(len(seq))]
+        c ^= c >> 30  # _finalize, inlined in the drawer's hottest call
+        c = (c * 0xBF58476D1CE4E5B9) & _M64
+        c ^= c >> 27
+        c = (c * 0x94D049BB133111EB) & _M64
+        return (c ^ (c >> 31)) % n
 
 
 class _Tape(_Stream):
@@ -214,24 +215,25 @@ def gen_term(config: GenConfig, position: int) -> Term:
 
 
 def _gen(rng: _Stream, budget: int, pool: Sequence[Atom]) -> Term:
+    n = len(pool)
     if budget <= 1:
-        return Var(rng.choice(pool))
+        return Var(pool[rng.choose(n)])
     if budget == 2:
         if rng.choose(4) == 0:
-            return Var(rng.choice(pool))
-        return Abs(rng.choice(pool), Var(rng.choice(pool)))
+            return Var(pool[rng.choose(n)])
+        return Abs(pool[rng.choose(n)], Var(pool[rng.choose(n)]))
     # weights 1 : 3 : 3 : 3 keep leaves rare, so the expected size tracks
     # the budget
     r = rng.choose(10)
     if r == 0:
-        return Var(rng.choice(pool))
+        return Var(pool[rng.choose(n)])
     if r <= 3:
-        return Abs(rng.choice(pool), _gen(rng, budget - 1, pool))
+        return Abs(pool[rng.choose(n)], _gen(rng, budget - 1, pool))
     left = 1 + rng.choose(budget - 2)
     right = budget - 1 - left
     if r <= 6:
         return App(_gen(rng, left, pool), _gen(rng, right, pool))
-    return ESub(_gen(rng, left, pool), rng.choice(pool), _gen(rng, right, pool))
+    return ESub(_gen(rng, left, pool), pool[rng.choose(n)], _gen(rng, right, pool))
 
 
 def enumerate_terms(max_size: int, pool: Sequence[Atom]) -> list[Term]:
@@ -306,7 +308,8 @@ class _Draw:
         return t
 
     def atom(self) -> Atom:
-        return self.rng.choice(self.config.atom_pool)
+        pool = self.config.atom_pool
+        return pool[self.rng.choose(len(pool))]
 
 
 def _distinct_from(a: Atom, b: Atom) -> Atom:
@@ -345,7 +348,7 @@ def _not_free(d: _Draw, candidates: list[Atom], atoms: int) -> Atom:
     ``atoms`` (an alpha-variant drawer passes that of the variant it has
     built so far)."""
     if candidates:
-        return d.rng.choice(candidates)
+        return candidates[d.rng.choose(len(candidates))]
     return fresh(Mask(atoms), d.config.atom_pool[0])
 
 
@@ -387,7 +390,7 @@ def _pick_avoiding(d: _Draw, avoid: int) -> Atom:
     else a fresh one seeded by a random pool hint."""
     candidates = [a for a in d.config.atom_pool if not avoid & a._bit]
     if candidates:
-        return d.rng.choice(candidates)
+        return candidates[d.rng.choose(len(candidates))]
     return fresh(Mask(avoid), d.atom())
 
 

@@ -270,23 +270,22 @@ def permute(pi: dict[Atom, Atom], t: Term) -> Term:
     for a, b in pi.items():
         if a is not b:
             moved |= a._bit
-    if not _term(t)._atoms & moved:
+    return _permute(_term(t), pi, moved)
+
+
+# ``moved`` is the mask of the atoms ``pi`` moves
+def _permute(t: Term, pi: dict[Atom, Atom], moved: int) -> Term:
+    if not t._atoms & moved:
         return t
-    get = pi.get
-
-    def go(t: Term) -> Term:
-        if not t._atoms & moved:
-            return t
-        tp = type(t)
-        if tp is Var:
-            return Var(get(t.atom))
-        if tp is Abs:
-            return Abs(get(t.binder, t.binder), go(t.body))
-        if tp is App:
-            return App(go(t.fun), go(t.arg))
-        return ESub(go(t.body), get(t.binder, t.binder), go(t.arg))
-
-    return go(t)
+    tp = type(t)
+    if tp is Var:
+        return Var(pi.get(t.atom))
+    if tp is Abs:
+        return Abs(pi.get(t.binder, t.binder), _permute(t.body, pi, moved))
+    if tp is App:
+        return App(_permute(t.fun, pi, moved), _permute(t.arg, pi, moved))
+    return ESub(_permute(t.body, pi, moved), pi.get(t.binder, t.binder),
+                _permute(t.arg, pi, moved))
 
 
 def swap(x: Atom, y: Atom, t: Term) -> Term:

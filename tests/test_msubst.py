@@ -126,13 +126,13 @@ def test_taken_esub_hint_is_not_walked_twice(monkeypatch):
     # y is free in the argument, so the binder y is renamed to y0
     t = ESub(App(Var(x), Var(y)), y, Var(y))
     assert msubst(t, Var(z), x) == ESub(App(Var(z), Var(y0)), y0, Var(y))
-    # go asks whether y is free in the argument; fresh then probes only y0
+    # _msubst asks whether y is free in the argument; fresh then probes only y0
     assert asked == [(y, Var(y)), (y0, t)]
 
 
 def test_no_esub_is_asked_about_its_own_binder(monkeypatch):
-    # go has already asked whether the binder is free in the argument, and
-    # that is the whole answer for the ESub node
+    # _msubst has already asked whether the binder is free in the argument,
+    # and that is the whole answer for the ESub node
     asked = _counting_free_in(monkeypatch)
     replacements = enumerate_terms(2, (x, y))
     for t in enumerate_terms(3, (x, y, y0)):
