@@ -32,7 +32,10 @@ whose rebuilt children are the very objects it holds comes back itself.
 from __future__ import annotations
 
 from .atoms import Atom, fresh
-from .term import Abs, App, ESub, Term, Var, _term, free_in, permute
+from .term import (
+    _LEAVES, Abs, App, ESub, Term, Var, _abs, _app, _esub, _term, free_in,
+    permute,
+)
 
 
 class _Avoid:
@@ -68,13 +71,12 @@ def _msubst(t: Term, u: Term, x: Atom, fv_u: int,
     tp = type(t)
     if tp is Var:
         a = pi.get(t.atom, t.atom) if pi else t.atom
-        if a is x:
-            return u
-        return t if a is t.atom else Var(a)
+        # leaves are shared, so an unmoved atom's leaf is ``t`` itself
+        return u if a is x else _LEAVES[a]
     if tp is App:
         fun = _msubst(t.fun, u, x, fv_u, pi, inv)
         arg = _msubst(t.arg, u, x, fv_u, pi, inv)
-        return t if fun is t.fun and arg is t.arg else App(fun, arg)
+        return t if fun is t.fun and arg is t.arg else _app(fun, arg)
     b = t.binder
     y = pi.get(b, b) if pi else b  # the binder of pi . t
     if y is x:
@@ -83,7 +85,7 @@ def _msubst(t: Term, u: Term, x: Atom, fv_u: int,
         body, arg = permute(pi, t.body), _msubst(t.arg, u, x, fv_u, pi, inv)
         if body is t.body and y is b and arg is t.arg:
             return t
-        return ESub(body, y, arg)
+        return _esub(body, y, arg)
     # The avoid set is pi(fv(t)) | fv(u) | {x}.  y is not free in pi . t
     # and is not x, so the hint y is taken unless it is in fv(u) or, for
     # an ESub, free in pi . arg (that is, b free in arg).  Only a failed
@@ -100,4 +102,4 @@ def _msubst(t: Term, u: Term, x: Atom, fv_u: int,
     body = _msubst(t.body, u, x, fv_u, pi, inv)
     if z is b and body is t.body and (tp is Abs or arg is t.arg):
         return t
-    return Abs(z, body) if tp is Abs else ESub(body, z, arg)
+    return _abs(z, body) if tp is Abs else _esub(body, z, arg)

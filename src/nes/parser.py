@@ -31,7 +31,7 @@ from typing import Union
 
 from .atoms import Atom, parse_atom
 from .msubst import msubst
-from .term import Abs, App, ESub, Term, Var, _Record
+from .term import _LEAVES, Term, _abs, _app, _esub, _Record
 
 
 class ParseError(Exception):
@@ -162,14 +162,14 @@ class _Parser:
             self.take()
             binder = self.name()
             self.expect(".")
-            return Abs(binder, self.expr())
+            return _abs(binder, self.expr())
         if kind == "[":
             self.take()
             binder = self.name()
             self.expect(":=")
             arg = self.expr()
             self.expect("]")
-            return ESub(self.expr(), binder, arg)
+            return _esub(self.expr(), binder, arg)
         if kind in ("name", "("):
             return self.app()
         expected = ("name", "'('", "'\\'", "'['") + extra
@@ -178,12 +178,12 @@ class _Parser:
     def app(self) -> Term:
         t = self.atom()
         while self.peek()[0] in ("name", "("):
-            t = App(t, self.atom())
+            t = _app(t, self.atom())
         return t
 
     def atom(self) -> Term:
         if self.peek()[0] == "name":
-            return Var(self.name())
+            return _LEAVES[self.name()]
         self.take()
         t = self.expr()
         self.expect(")")

@@ -17,12 +17,16 @@ from .alpha import aeq, canonicalize
 from .atoms import Atom, Mask, atoms_of, fresh
 from .parser import Lit, parse
 from .term import (
+    _LEAVES,
     Abs,
     App,
     ESub,
     Term,
     Var,
     _Record,
+    _abs,
+    _app,
+    _esub,
     free_in,
     fv_nom,
     permute,
@@ -40,17 +44,20 @@ DEFAULT_POOL: tuple[Atom, ...] = (
 _M64 = (1 << 64) - 1
 
 # Node budget of a config's term memo.  A stored term holds at most
-# max_size nodes (about 59 B each, masks included); its dict slot, key and
-# share of the dict's spare room cost about one node more, and the budget
-# counts each entry as max_size + _ENTRY_NODES nodes.  Filled to its limit,
-# the memo measured 18.6, 23.5, 32.6, 33.8, 25.9 and 15.0 MB at max size 1,
-# 2, 5, 20, 100 and 1000 (tracemalloc): 5 is the smallest count at which no
-# max size fills more than max size 20 (at 4, max size 5 filled 34.4 MB).
-# The default ``nes check`` reads 4 term slots per case over 10 000 cases
-# at max size 20: 4 * 10_000 * (20 + _ENTRY_NODES) = 1 000 000 nodes.
-# Positions below _MEMO_NODES // (max_size + _ENTRY_NODES) are memoised,
-# which covers that run completely and keeps the memo under one ceiling
-# (about 34 MB) for any --cases or --max-size.
+# max_size nodes: about 59 B for each inner node, masks included, and
+# nothing for a leaf, which is its atom's one shared ``Var`` (about 39 B a
+# node on average at max size 20).  Its dict slot, key and share of the
+# dict's spare room cost about one inner node more, and the budget counts
+# each entry as max_size + _ENTRY_NODES nodes.  Filled to its limit, the
+# memo measured 10.6, 16.7, 22.6, 23.5, 18.2 and 10.6 MB at max size 1, 2,
+# 5, 20, 100 and 1000 (tracemalloc): 5 is the smallest count at which no
+# max size fills more than max size 20 (at 4, max size 5 filled 24.6 MB
+# and max size 20 24.4 MB).  The default ``nes check`` reads 4 term slots
+# per case over 10 000 cases at max size 20:
+# 4 * 10_000 * (20 + _ENTRY_NODES) = 1 000 000 nodes.  Positions below
+# _MEMO_NODES // (max_size + _ENTRY_NODES) are memoised, which covers that
+# run completely and keeps the memo under one ceiling (about 24 MB) for
+# any --cases or --max-size.
 _ENTRY_NODES = 5
 _MEMO_NODES = 4 * 10_000 * (20 + _ENTRY_NODES)
 
@@ -214,26 +221,27 @@ def gen_term(config: GenConfig, position: int) -> Term:
     return t
 
 
+# ``pool`` is a config's atom pool, whose atoms ``GenConfig`` has checked
 def _gen(rng: _Stream, budget: int, pool: Sequence[Atom]) -> Term:
     n = len(pool)
     if budget <= 1:
-        return Var(pool[rng.choose(n)])
+        return _LEAVES[pool[rng.choose(n)]]
     if budget == 2:
         if rng.choose(4) == 0:
-            return Var(pool[rng.choose(n)])
-        return Abs(pool[rng.choose(n)], Var(pool[rng.choose(n)]))
+            return _LEAVES[pool[rng.choose(n)]]
+        return _abs(pool[rng.choose(n)], _LEAVES[pool[rng.choose(n)]])
     # weights 1 : 3 : 3 : 3 keep leaves rare, so the expected size tracks
     # the budget
     r = rng.choose(10)
     if r == 0:
-        return Var(pool[rng.choose(n)])
+        return _LEAVES[pool[rng.choose(n)]]
     if r <= 3:
-        return Abs(pool[rng.choose(n)], _gen(rng, budget - 1, pool))
+        return _abs(pool[rng.choose(n)], _gen(rng, budget - 1, pool))
     left = 1 + rng.choose(budget - 2)
     right = budget - 1 - left
     if r <= 6:
-        return App(_gen(rng, left, pool), _gen(rng, right, pool))
-    return ESub(_gen(rng, left, pool), pool[rng.choose(n)], _gen(rng, right, pool))
+        return _app(_gen(rng, left, pool), _gen(rng, right, pool))
+    return _esub(_gen(rng, left, pool), pool[rng.choose(n)], _gen(rng, right, pool))
 
 
 def enumerate_terms(max_size: int, pool: Sequence[Atom]) -> list[Term]:

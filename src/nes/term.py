@@ -19,11 +19,11 @@ class _Record:
     outside ``__match_args__``, such as a cache, takes no part in any of
     this.
 
-    Assigning or deleting an attribute raises ``AttributeError``, so an
-    ``__init__`` sets each field once: a class built by the thousand
-    through its slot descriptors' setters (``Var.atom.__set__``), which
-    cost less than a loop over the fields, and any other through this
-    ``__init__``."""
+    Assigning or deleting an attribute raises ``AttributeError``, so each
+    field is set once, when the record is made: a class built by the
+    thousand through its slot descriptors' setters (``Abs.body.__set__``),
+    which cost less than a loop over the fields, and any other through
+    this ``__init__``."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -63,6 +63,8 @@ class _Record:
         return "".join(parts)
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         return _equal(self, other)
@@ -72,15 +74,21 @@ class _Record:
 
 
 class Var(_Record):
+    """A variable occurrence.  There is one leaf per atom: ``Var(a)``
+    returns ``a``'s leaf, built the first time it is asked for, so
+    ``Var(a) is Var(a)``, as ``Atom(...)`` returns the one atom."""
+
     __slots__ = ("atom", "_free")
     __match_args__ = ("atom",)
     atom: Atom
 
-    def __init__(self, atom: Atom) -> None:
+    def __new__(cls, atom: Atom) -> Var:
         if type(atom) is not Atom:
             raise TypeError(f"not an atom: {atom!r}")
-        _set_atom(self, atom)
-        _set_var_free(self, atom._bit)
+        return _LEAVES[atom]
+
+    # ``__new__`` returns a finished node, which is never initialised again
+    __init__ = object.__init__
 
 
 class Abs(_Record):
@@ -89,16 +97,14 @@ class Abs(_Record):
     binder: Atom
     body: "Term"
 
-    def __init__(self, binder: Atom, body: "Term") -> None:
+    def __new__(cls, binder: Atom, body: "Term") -> Abs:
         if type(binder) is not Atom:
             raise TypeError(f"not an atom: {binder!r}")
         if type(body) not in _TERMS:
             raise TypeError(f"not a term: {body!r}")
-        bit = binder._bit
-        _set_abs_binder(self, binder)
-        _set_abs_body(self, body)
-        _set_abs_free(self, (body._free | bit) ^ bit)
-        _set_abs_atoms(self, body._atoms | bit)
+        return _abs(binder, body)
+
+    __init__ = object.__init__
 
 
 class App(_Record):
@@ -107,15 +113,14 @@ class App(_Record):
     fun: "Term"
     arg: "Term"
 
-    def __init__(self, fun: "Term", arg: "Term") -> None:
+    def __new__(cls, fun: "Term", arg: "Term") -> App:
         if type(fun) not in _TERMS:
             raise TypeError(f"not a term: {fun!r}")
         if type(arg) not in _TERMS:
             raise TypeError(f"not a term: {arg!r}")
-        _set_fun(self, fun)
-        _set_app_arg(self, arg)
-        _set_app_free(self, fun._free | arg._free)
-        _set_app_atoms(self, fun._atoms | arg._atoms)
+        return _app(fun, arg)
+
+    __init__ = object.__init__
 
 
 class ESub(_Record):
@@ -131,27 +136,25 @@ class ESub(_Record):
     binder: Atom
     arg: "Term"
 
-    def __init__(self, body: "Term", binder: Atom, arg: "Term") -> None:
+    def __new__(cls, body: "Term", binder: Atom, arg: "Term") -> ESub:
         if type(body) not in _TERMS:
             raise TypeError(f"not a term: {body!r}")
         if type(binder) is not Atom:
             raise TypeError(f"not an atom: {binder!r}")
         if type(arg) not in _TERMS:
             raise TypeError(f"not a term: {arg!r}")
-        bit = binder._bit
-        _set_esub_body(self, body)
-        _set_esub_binder(self, binder)
-        _set_esub_arg(self, arg)
-        _set_esub_free(self, (body._free | bit) ^ bit | arg._free)
-        _set_esub_atoms(self, body._atoms | bit | arg._atoms)
+        return _esub(body, binder, arg)
+
+    __init__ = object.__init__
 
 
 # Every node keeps two atom masks (see ``nes.atoms``), filled by its
-# constructor from its children's: ``_free``, its free atoms, and
-# ``_atoms``, every atom occurring in it, binders included.  A leaf's two
-# masks are its atom's bit, so one slot serves as both.
+# builder from its children's: ``_free``, its free atoms, and ``_atoms``,
+# every atom occurring in it, binders included.  A leaf's two masks are
+# its atom's bit, so one slot serves as both.
 Var._atoms = Var._free
 _TERMS = frozenset((Var, Abs, App, ESub))
+_new = object.__new__
 _set_atom, _set_var_free = Var.atom.__set__, Var._free.__set__
 _set_abs_binder, _set_abs_body = Abs.binder.__set__, Abs.body.__set__
 _set_abs_free, _set_abs_atoms = Abs._free.__set__, Abs._atoms.__set__
@@ -163,6 +166,59 @@ _set_esub_body, _set_esub_binder, _set_esub_arg = (
 _set_esub_free, _set_esub_atoms = ESub._free.__set__, ESub._atoms.__set__
 
 Term = Union[Var, Abs, App, ESub]
+
+
+# The builders store a node whose children are known to be an atom and
+# terms: the public constructors call them once their checks pass, and the
+# walks that recombine parts of terms they already hold call them directly.
+# Each field is stored once, through its slot descriptor's setter, since
+# ``_Record.__setattr__`` refuses plain stores.
+
+def _abs(binder: Atom, body: Term) -> Abs:
+    bit = binder._bit
+    node = _new(Abs)
+    _set_abs_binder(node, binder)
+    _set_abs_body(node, body)
+    _set_abs_free(node, (body._free | bit) ^ bit)
+    _set_abs_atoms(node, body._atoms | bit)
+    return node
+
+
+def _app(fun: Term, arg: Term) -> App:
+    node = _new(App)
+    _set_fun(node, fun)
+    _set_app_arg(node, arg)
+    _set_app_free(node, fun._free | arg._free)
+    _set_app_atoms(node, fun._atoms | arg._atoms)
+    return node
+
+
+def _esub(body: Term, binder: Atom, arg: Term) -> ESub:
+    bit = binder._bit
+    node = _new(ESub)
+    _set_esub_body(node, body)
+    _set_esub_binder(node, binder)
+    _set_esub_arg(node, arg)
+    _set_esub_free(node, (body._free | bit) ^ bit | arg._free)
+    _set_esub_atoms(node, body._atoms | bit | arg._atoms)
+    return node
+
+
+class _Leaves(dict):
+    """Each atom's one leaf, by atom: ``_LEAVES[a]`` is ``Var(a)`` for an
+    atom ``a``, built on the first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, atom: Atom) -> Var:
+        leaf = _new(Var)
+        _set_atom(leaf, atom)
+        _set_var_free(leaf, atom._bit)
+        # a leaf that loses a race for its atom here is dropped
+        return self.setdefault(atom, leaf)
+
+
+_LEAVES = _Leaves()
 
 
 def _equal(s: _Record, t: _Record) -> bool:
@@ -279,13 +335,13 @@ def _permute(t: Term, pi: dict[Atom, Atom], moved: int) -> Term:
         return t
     tp = type(t)
     if tp is Var:
-        return Var(pi.get(t.atom))
+        return _LEAVES[pi.get(t.atom)]
     if tp is Abs:
-        return Abs(pi.get(t.binder, t.binder), _permute(t.body, pi, moved))
+        return _abs(pi.get(t.binder, t.binder), _permute(t.body, pi, moved))
     if tp is App:
-        return App(_permute(t.fun, pi, moved), _permute(t.arg, pi, moved))
-    return ESub(_permute(t.body, pi, moved), pi.get(t.binder, t.binder),
-                _permute(t.arg, pi, moved))
+        return _app(_permute(t.fun, pi, moved), _permute(t.arg, pi, moved))
+    return _esub(_permute(t.body, pi, moved), pi.get(t.binder, t.binder),
+                 _permute(t.arg, pi, moved))
 
 
 def swap(x: Atom, y: Atom, t: Term) -> Term:

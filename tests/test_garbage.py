@@ -46,6 +46,9 @@ def _garbage(call) -> int:
 @pytest.mark.parametrize(
     "call",
     [
+        lambda: Var(x),
+        # a new config, so the term is drawn rather than read from a memo
+        lambda: gen_term(GenConfig(), 5),
         lambda: swap(x, y, TERM),
         lambda: permute({x: y, y: z, z: x}, TERM),
         # renames binders: the bodies compare under a nonempty permutation
@@ -58,7 +61,7 @@ def _garbage(call) -> int:
         lambda: run_property("m_subst_lemma", GenConfig(cases=20)),
         lambda: run_property("aeq_m_subst_eq", GenConfig(cases=20)),
     ],
-    ids=["swap", "permute", "aeq", "canonicalize", "msubst", "parse-render",
+    ids=["var", "gen_term", "swap", "permute", "aeq", "canonicalize", "msubst", "parse-render",
          "m_subst_lemma", "aeq_m_subst_eq"],
 )
 def test_walk_leaves_no_cyclic_garbage(call):

@@ -20,6 +20,7 @@ from nes import (
     Var,
     gen_term,
 )
+import nes.term
 from nes.properties import _Prop
 from nes.term import _Record
 
@@ -123,6 +124,16 @@ def test_only_the_record_base_defines_eq_hash_and_repr():
         if name in vars(cls)
     ]
     assert own == []
+
+
+def test_a_record_equals_itself_without_a_walk(monkeypatch):
+    def walk(s, t):
+        raise AssertionError("== walked a record compared with itself")
+
+    records = [r for r, _, _ in RECORDS] + [gen_term(GenConfig(), 5)]
+    monkeypatch.setattr(nes.term, "_equal", walk)
+    for record in records:
+        assert record == record and not record != record
 
 
 def test_equality_respects_the_class():

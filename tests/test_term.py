@@ -9,10 +9,12 @@ from nes import (
     App,
     Atom,
     ESub,
+    GenConfig,
     Var,
     all_atoms,
     enumerate_terms,
     fv_nom,
+    gen_term,
     msubst,
     parse,
     render,
@@ -331,6 +333,43 @@ def test_deep_terms_build_and_answer_free_in(build):
     free, occurring = {_chain: ({z}, {x, z}), _spine: ({x, y, z}, {x, y, z})}[build]
     assert [free_in(a, t) for a in (x, y, z, w)] == [a in free for a in (x, y, z, w)]
     assert fv_nom(t) == free and all_atoms(t) == occurring
+
+
+def test_one_leaf_per_atom():
+    leaf = Var(x)
+    assert Var(x) is leaf and Var(Atom("x")) is leaf
+    assert copy.copy(leaf) is leaf and copy.deepcopy(leaf) is leaf
+    assert pickle.loads(pickle.dumps(leaf)) is leaf
+    assert swap(x, y, leaf) is Var(y)
+    assert Var(Atom("leaf", 7)) is Var(Atom("leaf", 7))  # a new atom's too
+
+
+def _rebuilt(t):
+    # ``t`` again, every node made through the public constructors
+    match t:
+        case Var(a):
+            return Var(a)
+        case Abs(a, body):
+            return Abs(a, _rebuilt(body))
+        case App(fun, arg):
+            return App(_rebuilt(fun), _rebuilt(arg))
+        case ESub(body, a, arg):
+            return ESub(_rebuilt(body), a, _rebuilt(arg))
+
+
+def test_walks_build_what_the_public_constructors_build():
+    # u has y and z free, so msubst renames binders y on its way down
+    u = App(Var(z), Abs(x, Var(y)))
+    config = GenConfig(max_size=4, atom_pool=(x, y))
+    built = [gen_term(config, i) for i in range(200)]
+    for t in enumerate_terms(4, (x, y)):
+        built += [
+            swap(x, y, t), permute({x: z, z: y, y: x}, t),
+            msubst(t, u, x), msubst(t, Var(x), y), parse(render(t)).term,
+        ]
+    for t in built:
+        twin = _rebuilt(t)
+        assert t == twin and _masks(t) == _masks(twin), t
 
 
 def test_copies_are_equal_and_fields_are_read_only():
