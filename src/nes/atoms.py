@@ -122,8 +122,8 @@ def fresh(avoid: Container[Atom], hint: Atom) -> Atom:
 
     ``avoid`` is anything that answers ``in``: a set, a tuple, or an object
     whose ``__contains__`` decides membership without building a set (a
-    ``Mask``, or ``msubst``'s avoid set).  Total and deterministic; the
-    indices are unbounded so some candidate is always free.
+    ``Mask``).  Total and deterministic; the indices are unbounded so some
+    candidate is always free.
     """
     if hint not in avoid:
         return hint

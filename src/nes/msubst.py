@@ -14,13 +14,10 @@ atoms of ``u``, the free atoms of the binder's own term, and ``x``:
                                                       (x != y, z fresh)
 
 Fresh names come from :func:`nes.atoms.fresh` with the original binder as
-the hint, so the result is a pure function of the inputs.  The avoid set is
-never built: ``fresh`` asks each candidate's membership of a predicate that
-tests its bit in the free-atom mask of ``u``, compares it with ``x`` and
-asks ``free_in`` of the binder's own term, a test of one bit of the mask
-that term's node keeps, so each probe costs the same at any size.  The
-recursion terminates because swapping preserves size, so every call
-strictly decreases it.
+the hint, so the result is a pure function of the inputs.  Only a hint free
+in ``u`` or in an explicit substitution's argument is refused, and only
+then is the avoid set built, as one atom mask.  The recursion terminates
+because swapping preserves size, so every call strictly decreases it.
 
 The equations are computed as written, but the swaps are not built: the
 renamings on the way down are carried as one atom permutation, composed one
@@ -31,42 +28,23 @@ whose rebuilt children are the very objects it holds comes back itself.
 
 from __future__ import annotations
 
-from .atoms import Atom, fresh
+from .atoms import Atom, Mask, fresh
 from .term import (
     _LEAVES, Abs, App, ESub, Term, Var, _abs, _app, _esub, _term, free_in,
     permute,
 )
 
 
-class _Avoid:
-    """The avoid set ``pi(fv(t)) | fv(u) | {x}`` of a forced rename, asked
-    one candidate at a time: ``c = pi(a)`` exactly when ``a = inv(c)``, so
-    ``c`` is in ``pi(fv(t))`` exactly when ``inv(c)`` is free in ``t``.
-    ``fv(u)`` is ``u``'s free-atom mask, so every question is a few bit
-    tests and a ``free_in``, itself one bit test.  The caller has found the
-    hint taken, so asking it asks nothing more."""
-
-    __slots__ = ("hint", "fv_u", "x", "t", "inv")
-
-    def __init__(self, hint: Atom, fv_u: int, x: Atom, t: Term,
-                 inv: dict[Atom, Atom]) -> None:
-        self.hint, self.fv_u, self.x, self.t, self.inv = hint, fv_u, x, t, inv
-
-    def __contains__(self, c: Atom) -> bool:
-        return (c is self.hint or self.fv_u & c._bit != 0 or c is self.x
-                or free_in(self.inv.get(c, c), self.t))
-
-
 def msubst(t: Term, u: Term, x: Atom) -> Term:
-    fv_u = _term(u)._free  # u's free atoms, as a mask
-    # a constructor takes only terms as children, so only the root is checked
-    return _msubst(_term(t), u, x, fv_u, {}, {})
+    if type(x) is not Atom:
+        raise TypeError(f"not an atom: {x!r}")
+    # a constructor takes only terms as children, so only the roots are checked
+    return _msubst(_term(t), _term(u), x, {}, {})
 
 
-# _msubst(t, u, x, fv_u, pi, inv) substitutes u for x in pi . t, where pi
-# (with its inverse inv) is the composition of the binder renamings made
-# above t and fv_u is u's free-atom mask
-def _msubst(t: Term, u: Term, x: Atom, fv_u: int,
+# _msubst(t, u, x, pi, inv) substitutes u for x in pi . t, where pi (with
+# its inverse inv) is the composition of the binder renamings made above t
+def _msubst(t: Term, u: Term, x: Atom,
             pi: dict[Atom, Atom], inv: dict[Atom, Atom]) -> Term:
     tp = type(t)
     if tp is Var:
@@ -74,32 +52,34 @@ def _msubst(t: Term, u: Term, x: Atom, fv_u: int,
         # leaves are shared, so an unmoved atom's leaf is ``t`` itself
         return u if a is x else _LEAVES[a]
     if tp is App:
-        fun = _msubst(t.fun, u, x, fv_u, pi, inv)
-        arg = _msubst(t.arg, u, x, fv_u, pi, inv)
+        fun = _msubst(t.fun, u, x, pi, inv)
+        arg = _msubst(t.arg, u, x, pi, inv)
         return t if fun is t.fun and arg is t.arg else _app(fun, arg)
     b = t.binder
     y = pi.get(b, b) if pi else b  # the binder of pi . t
-    if y is x:
-        if tp is Abs:
-            return permute(pi, t)
-        body, arg = permute(pi, t.body), _msubst(t.arg, u, x, fv_u, pi, inv)
-        if body is t.body and y is b and arg is t.arg:
-            return t
-        return _esub(body, y, arg)
-    # The avoid set is pi(fv(t)) | fv(u) | {x}.  y is not free in pi . t
-    # and is not x, so the hint y is taken unless it is in fv(u) or, for
-    # an ESub, free in pi . arg (that is, b free in arg).  Only a failed
-    # hint asks fresh, which probes the set through _Avoid.
+    # y is not free in pi . t, so unless it is x it is taken only if it is
+    # free in u or, for an ESub, in pi . arg (that is, b free in arg)
     z = y
-    if fv_u & y._bit or tp is ESub and free_in(b, t.arg):
-        z = fresh(_Avoid(y, fv_u, x, t, inv), y)
+    if y is not x and (u._free & y._bit or tp is ESub and free_in(b, t.arg)):
+        z = fresh(Mask(_image(t._free, pi) | u._free | x._bit), y)
     # the argument sits outside the binder, under the renamings above t
-    arg = _msubst(t.arg, u, x, fv_u, pi, inv) if tp is ESub else None
+    arg = _msubst(t.arg, u, x, pi, inv) if tp is ESub else None
     if z is not y:
         # the body is swap y z (pi . body) = ((y z) . pi) . body
         iz = inv.get(z, z)
         pi, inv = {**pi, b: z, iz: y}, {**inv, z: b, y: iz}
-    body = _msubst(t.body, u, x, fv_u, pi, inv)
+    body = permute(pi, t.body) if y is x else _msubst(t.body, u, x, pi, inv)
     if z is b and body is t.body and (tp is Abs or arg is t.arg):
         return t
     return _abs(z, body) if tp is Abs else _esub(body, z, arg)
+
+
+def _image(mask: int, pi: dict[Atom, Atom]) -> int:
+    """``pi``'s image of the atoms of ``mask``: the bits of the atoms it
+    moves are cleared, then the bits of their images are set."""
+    gone = come = 0
+    for a, c in pi.items():
+        if mask & a._bit:
+            gone |= a._bit
+            come |= c._bit
+    return mask & ~gone | come

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import sys
 
@@ -19,6 +20,7 @@ from nes import (
     render,
     swap,
 )
+from nes.properties import DEFAULT_POOL, GenConfig, gen_term
 from strategies import _free_by_scope_walk, atoms, terms
 
 x, y, z, w = Atom("x"), Atom("y"), Atom("z"), Atom("w")
@@ -95,9 +97,12 @@ def test_matches_direct_definition(t, u, a):
 
 # y0 is the first fresh name for y, so nested renames can pick a name that
 # an outer rename already moved.  With y1 in the pool too, a nested rename
-# must skip a candidate that is the image of an outer rename.
+# must skip a candidate that is the image of an outer rename; at size 4 it
+# must also reuse a name an outer rename moved away, and read the inverse
+# renaming to find what a fresh name stood for.
 @pytest.mark.parametrize(
-    "max_size, pool", [(4, (x, y)), (3, (x, y, y0)), (3, (x, y, y0, y1))]
+    "max_size, pool",
+    [(4, (x, y)), (3, (x, y, y0)), (3, (x, y, y0, y1)), (4, (x, y, y0, y1))],
 )
 def test_matches_direct_definition_exhaustively(max_size, pool):
     # Structural equality: every renamed binder must get the same fresh name.
@@ -105,6 +110,26 @@ def test_matches_direct_definition_exhaustively(max_size, pool):
     for t in enumerate_terms(max_size, pool):
         for u, a in itertools.product(replacements, pool):
             assert msubst(t, u, a) == _msubst_direct(t, u, a), (render(t), render(u), a)
+
+
+def test_fresh_names_on_drawn_inputs_are_pinned():
+    # The exhaustive rows stop at size 4; this pins the names msubst picks
+    # on the size-20 terms the catalogue draws (2 963 forced renames), one
+    # rendered result per line.
+    cfg = GenConfig(seed=0)
+    h = hashlib.sha256()
+    for i in range(2000):
+        t, u = gen_term(cfg, 2 * i), gen_term(cfg, 2 * i + 1)
+        h.update(f"{render(msubst(t, u, DEFAULT_POOL[i % 5]))}\n".encode())
+    assert h.hexdigest() == (
+        "f52add435b973e50479daf9179d85b5581242eb9da2fb361bcbaed722b9adaf7"
+    )
+
+
+@pytest.mark.parametrize("junk", ["x", None, Var(x)])
+def test_rejects_a_non_atom_variable(junk):
+    with pytest.raises(TypeError, match="not an atom"):
+        msubst(Abs(y, Var(y)), Var(y), junk)
 
 
 def _counting_free_in(monkeypatch):
@@ -126,8 +151,9 @@ def test_taken_esub_hint_is_not_walked_twice(monkeypatch):
     # y is free in the argument, so the binder y is renamed to y0
     t = ESub(App(Var(x), Var(y)), y, Var(y))
     assert msubst(t, Var(z), x) == ESub(App(Var(z), Var(y0)), y0, Var(y))
-    # _msubst asks whether y is free in the argument; fresh then probes only y0
-    assert asked == [(y, Var(y)), (y0, t)]
+    # _msubst asks whether y is free in the argument, and fresh asks the
+    # term nothing: the avoid set is one mask
+    assert asked == [(y, Var(y))]
 
 
 def test_no_esub_is_asked_about_its_own_binder(monkeypatch):
