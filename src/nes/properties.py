@@ -402,6 +402,11 @@ def _pick_avoiding(d: _Draw, avoid: int) -> Atom:
     return fresh(Mask(avoid), d.atom())
 
 
+def _not_free_in(d: _Draw, t: Term) -> Atom:
+    """An atom that is not free in ``t``."""
+    return _not_free(d, _candidates(d, t._free, t._atoms), t._atoms)
+
+
 # --------------------------------------------------------------------------
 # The catalogue
 
@@ -417,47 +422,15 @@ class _Prop(_Record):
         super().__init__(draw, body, pre)
 
 
-# Signature kinds: each draws one input of a case from ``d`` and the earlier
-# input ``s`` its step names (None when it names none).  The helpers look
-# up the library's names at call time, so tracing wrappers still see them.
-_KINDS: dict[str, Callable[[_Draw, object], object]] = {
-    "atom": lambda d, s: d.atom(),
-    "term": lambda d, s: d.term(),
-    "distinct": lambda d, s: _distinct_from(s, d.atom()),
-    "swap_out": lambda d, s: _swap_out(d.term(), s),
-    "variant": _alpha_variant,
-    "variant_or_fresh": _variant_or_fresh,
-    "not_free": lambda d, s: _not_free(d, _candidates(d, s._free, s._atoms), s._atoms),
-}
-
-
-def _sig(*steps: str, keys: str = "") -> Callable[[_Draw], dict]:
-    """The drawer of a signature.  Each step ``"name kind [source]"`` draws
-    one input, in step order, by ``_KINDS[kind]`` from the earlier input
-    named ``source``.  Terms and atoms come from independent streams, so
-    only the order within each stream fixes what a seed draws.  ``keys``
-    orders the result (the counterexample's order) where the draw order
-    differs from it."""
-    plan = [
-        (name, _KINDS[kind], source[0] if source else None)
-        for name, kind, *source in map(str.split, steps)
-    ]
-    order = keys.split()
-
-    def draw(d: _Draw) -> dict:
-        got: dict = {}
-        for name, kind, source in plan:
-            got[name] = kind(d, got.get(source))
-        return {k: got[k] for k in order} if order else got
-
-    return draw
-
-
-# Drawers no signature expresses: a repair made inside a swapped term, and
-# atoms that avoid the free atoms of a term built from several inputs.
+# Each law's ``draw`` takes one case's inputs from a ``_Draw``.  Terms and
+# atoms come from independent streams, so only the order within each stream
+# fixes what a seed draws; the dict's order is the counterexample's order.
+# Drawers and helpers look up the library's names at call time, so tracing
+# wrappers still see them: bind none of them early.
 
 
 def _d_notin_remove_swap(d: _Draw) -> dict:
+    # the repair is made inside the swapped term
     xp, x, y = d.atom(), d.atom(), d.atom()
     swapped = _swap_out(swap(x, y, d.term()), vswap(x, y, xp))
     return {"t": swap(x, y, swapped), "xp": xp, "x": x, "y": y}
@@ -477,49 +450,60 @@ def _d_sub_neq(d: _Draw) -> dict:
     return {"t1": t1, "t2": t2, "u": u, "x": x, "y": y, "z": z}
 
 
+def _d_m_subst_in(d: _Draw) -> dict:
+    # u is the first term drawn, t the second, as a seed has always drawn them
+    u, t = d.term(), d.term()
+    return {"t": t, "u": u, "up": _alpha_variant(d, u), "x": d.atom()}
+
+
 _CATALOGUE: dict[str, _Prop] = {
     "vswap_id": _Prop(
-        _sig("x atom", "y atom"),
+        lambda d: {"x": d.atom(), "y": d.atom()},
         lambda x, y: vswap(x, x, y) == y,
     ),
     "swap_id": _Prop(
-        _sig("x atom", "t term"),
+        lambda d: {"x": d.atom(), "t": d.term()},
         lambda x, t: swap(x, x, t) == t,
     ),
     "swap_neq": _Prop(
-        _sig("x atom", "y atom", "z atom", "w distinct z"),
+        lambda d: {"x": d.atom(), "y": d.atom(),
+                   "z": (z := d.atom()), "w": _distinct_from(z, d.atom())},
         lambda x, y, z, w: vswap(x, y, z) != vswap(x, y, w),
         pre=lambda x, y, z, w: z != w,
     ),
     "swap_size_eq": _Prop(
-        _sig("x atom", "y atom", "t term"),
+        lambda d: {"x": d.atom(), "y": d.atom(), "t": d.term()},
         lambda x, y, t: size(swap(x, y, t)) == size(t),
     ),
     "swap_symmetric": _Prop(
-        _sig("x atom", "y atom", "t term"),
+        lambda d: {"x": d.atom(), "y": d.atom(), "t": d.term()},
         lambda x, y, t: swap(x, y, t) == swap(y, x, t),
     ),
     "swap_involutive": _Prop(
-        _sig("x atom", "y atom", "t term"),
+        lambda d: {"x": d.atom(), "y": d.atom(), "t": d.term()},
         lambda x, y, t: swap(x, y, swap(x, y, t)) == t,
     ),
     "shuffle_swap": _Prop(
-        _sig("z atom", "w distinct z", "y distinct z", "t term", keys="w y z t"),
+        # z is the first atom drawn
+        lambda d: {"w": _distinct_from(z := d.atom(), d.atom()),
+                   "y": _distinct_from(z, d.atom()), "z": z, "t": d.term()},
         lambda w, y, z, t: swap(w, y, swap(y, z, t)) == swap(w, z, swap(w, y, t)),
         pre=lambda w, y, z, t: w != z and y != z,
     ),
     "swap_equivariance": _Prop(
-        _sig("x atom", "y atom", "z atom", "w atom", "t term"),
+        lambda d: {"x": d.atom(), "y": d.atom(), "z": d.atom(), "w": d.atom(),
+                   "t": d.term()},
         lambda x, y, z, w, t: swap(x, y, swap(z, w, t))
         == swap(vswap(x, y, z), vswap(x, y, w), swap(x, y, t)),
     ),
     "fv_nom_swap": _Prop(
-        _sig("z atom", "y atom", "t swap_out z"),
+        lambda d: {"z": (z := d.atom()), "y": d.atom(), "t": _swap_out(d.term(), z)},
         lambda z, y, t: y not in fv_nom(swap(y, z, t)),
         pre=lambda z, y, t: not free_in(z, t),
     ),
     "notin_fv_nom_equivariance": _Prop(
-        _sig("xp atom", "x atom", "y atom", "t swap_out xp", keys="t xp x y"),
+        lambda d: {"t": _swap_out(d.term(), xp := d.atom()), "xp": xp,
+                   "x": d.atom(), "y": d.atom()},
         lambda t, xp, x, y: vswap(x, y, xp) not in fv_nom(swap(x, y, t)),
         pre=lambda t, xp, x, y: not free_in(xp, t),
     ),
@@ -529,57 +513,61 @@ _CATALOGUE: dict[str, _Prop] = {
         pre=lambda t, xp, x, y: not free_in(vswap(x, y, xp), swap(x, y, t)),
     ),
     "aeq_refl": _Prop(
-        _sig("t term"),
+        lambda d: {"t": d.term()},
         lambda t: aeq(t, t),
     ),
     "aeq_sym": _Prop(
-        _sig("t1 term", "t2 variant_or_fresh t1"),
+        lambda d: {"t1": (t1 := d.term()), "t2": _variant_or_fresh(d, t1)},
         lambda t1, t2: aeq(t1, t2) == aeq(t2, t1),
     ),
     "aeq_trans": _Prop(
-        _sig("t1 term", "t2 variant t1", "t3 variant t2"),
+        lambda d: {"t1": (t1 := d.term()), "t2": (t2 := _alpha_variant(d, t1)),
+                   "t3": _alpha_variant(d, t2)},
         lambda t1, t2, t3: aeq(t1, t3),
         pre=lambda t1, t2, t3: aeq(t1, t2) and aeq(t2, t3),
     ),
     "aeq_size": _Prop(
-        _sig("t1 term", "t2 variant t1"),
+        lambda d: {"t1": (t1 := d.term()), "t2": _alpha_variant(d, t1)},
         lambda t1, t2: size(t1) == size(t2),
         pre=lambda t1, t2: aeq(t1, t2),
     ),
     "aeq_fv_nom": _Prop(
-        _sig("t1 term", "t2 variant t1"),
+        lambda d: {"t1": (t1 := d.term()), "t2": _alpha_variant(d, t1)},
         lambda t1, t2: fv_nom(t1) == fv_nom(t2),
         pre=lambda t1, t2: aeq(t1, t2),
     ),
     "aeq_swap": _Prop(
-        _sig("t1 term", "t2 variant_or_fresh t1", "x atom", "y atom"),
+        lambda d: {"t1": (t1 := d.term()), "t2": _variant_or_fresh(d, t1),
+                   "x": d.atom(), "y": d.atom()},
         lambda t1, t2, x, y: aeq(t1, t2) == aeq(swap(x, y, t1), swap(x, y, t2)),
     ),
     "swap_reduction": _Prop(
-        _sig("t term", "x not_free t", "y not_free t"),
+        lambda d: {"t": (t := d.term()),
+                   "x": _not_free_in(d, t), "y": _not_free_in(d, t)},
         lambda t, x, y: aeq(swap(x, y, t), t),
         pre=lambda t, x, y: not free_in(x, t) and not free_in(y, t),
     ),
     "aeq_swap_swap": _Prop(
-        _sig("t term", "x not_free t", "y atom", "z not_free t"),
+        lambda d: {"t": (t := d.term()), "x": _not_free_in(d, t),
+                   "y": d.atom(), "z": _not_free_in(d, t)},
         lambda t, x, y, z: aeq(swap(z, x, swap(x, y, t)), swap(z, y, t)),
         pre=lambda t, x, y, z: not free_in(z, t) and not free_in(x, t),
     ),
     "aeq_oracle": _Prop(
-        _sig("t1 term", "t2 variant_or_fresh t1"),
+        lambda d: {"t1": (t1 := d.term()), "t2": _variant_or_fresh(d, t1)},
         lambda t1, t2: aeq(t1, t2) == (canonicalize(t1) == canonicalize(t2)),
     ),
     "m_subst_notin": _Prop(
-        _sig("x atom", "t swap_out x", "u term", keys="t u x"),
+        lambda d: {"t": _swap_out(d.term(), x := d.atom()), "u": d.term(), "x": x},
         lambda t, u, x: aeq(msubst(t, u, x), t),
         pre=lambda t, u, x: not free_in(x, t),
     ),
     "m_subst_abs_eq": _Prop(
-        _sig("t term", "u term", "x atom"),
+        lambda d: {"t": d.term(), "u": d.term(), "x": d.atom()},
         lambda t, u, x: msubst(Abs(x, t), u, x) == Abs(x, t),
     ),
     "m_subst_sub_eq": _Prop(
-        _sig("t1 term", "t2 term", "u term", "x atom"),
+        lambda d: {"t1": d.term(), "t2": d.term(), "u": d.term(), "x": d.atom()},
         lambda t1, t2, u, x: msubst(ESub(t1, x, t2), u, x)
         == ESub(t1, x, msubst(t2, u, x)),
     ),
@@ -605,32 +593,34 @@ _CATALOGUE: dict[str, _Prop] = {
         and not free_in(z, ESub(t1, y, t2)),
     ),
     "aeq_m_subst_in": _Prop(
-        _sig("u term", "t term", "up variant u", "x atom", keys="t u up x"),
+        _d_m_subst_in,
         lambda t, u, up, x: aeq(msubst(t, u, x), msubst(t, up, x)),
         pre=lambda t, u, up, x: aeq(u, up),
     ),
     "aeq_m_subst_out": _Prop(
-        _sig("t term", "tp variant t", "u term", "x atom"),
+        lambda d: {"t": (t := d.term()), "tp": _alpha_variant(d, t),
+                   "u": d.term(), "x": d.atom()},
         lambda t, tp, u, x: aeq(msubst(t, u, x), msubst(tp, u, x)),
         pre=lambda t, tp, u, x: aeq(t, tp),
     ),
     "aeq_m_subst_eq": _Prop(
-        _sig("t term", "tp variant t", "u term", "up variant u", "x atom"),
+        lambda d: {"t": (t := d.term()), "tp": _alpha_variant(d, t),
+                   "u": (u := d.term()), "up": _alpha_variant(d, u), "x": d.atom()},
         lambda t, tp, u, up, x: aeq(msubst(t, u, x), msubst(tp, up, x)),
         pre=lambda t, tp, u, up, x: aeq(t, tp) and aeq(u, up),
     ),
     "swap_subst_rec_fun": _Prop(
-        _sig("x atom", "y atom", "z atom", "t term", "u term"),
+        lambda d: {"x": d.atom(), "y": d.atom(), "z": d.atom(),
+                   "t": d.term(), "u": d.term()},
         lambda x, y, z, t, u: aeq(
             swap(x, y, msubst(t, u, z)),
             msubst(swap(x, y, t), swap(x, y, u), vswap(x, y, z)),
         ),
     ),
     "m_subst_lemma": _Prop(
-        _sig(
-            "t1 term", "t2 term", "x atom", "t3 swap_out x", "y distinct x",
-            keys="t1 t2 t3 x y",
-        ),
+        lambda d: {"t1": d.term(), "t2": d.term(),
+                   "t3": _swap_out(d.term(), x := d.atom()), "x": x,
+                   "y": _distinct_from(x, d.atom())},
         lambda t1, t2, t3, x, y: aeq(
             msubst(msubst(t1, t2, x), t3, y),
             msubst(msubst(t1, t3, y), msubst(t2, t3, y), x),
@@ -638,7 +628,7 @@ _CATALOGUE: dict[str, _Prop] = {
         pre=lambda t1, t2, t3, x, y: x != y and not free_in(x, t3),
     ),
     "parse_roundtrip": _Prop(
-        _sig("t term"),
+        lambda d: {"t": d.term()},
         lambda t: parse(render(t)) == Lit(t),
     ),
 }

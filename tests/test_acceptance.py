@@ -215,13 +215,13 @@ def test_criterion_6_parser_roundtrip():
     assert ok, (report.failures, corpus_bad)
 
 
-def test_criterion_7_determinism():
+def test_criterion_7_determinism(child_env):
     flags = [
         sys.executable, "-m", "nes.cli", "check",
         "--cases", "400", "--seed", "7", "--max-size", "15",
     ]
-    first = subprocess.run(flags, capture_output=True)
-    second = subprocess.run(flags, capture_output=True)
+    first = subprocess.run(flags, env=child_env, capture_output=True)
+    second = subprocess.run(flags, env=child_env, capture_output=True)
     runs_identical = (
         first.returncode == 0
         and second.returncode == 0

@@ -1,5 +1,4 @@
 import itertools
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -130,12 +129,12 @@ def test_aeq_agrees_with_the_swap_rule_on_swap_variants(chain, other):
         assert aeq(t1, t2) == _aeq_swap_rule(t1, t2)
 
 
-def test_exhaustive_oracle_script():
+def test_exhaustive_oracle_script(child_env):
     root = Path(__file__).resolve().parents[1]
     script = root / "scripts" / "exhaustive_oracle.py"
     result = subprocess.run(
         [sys.executable, str(script), "--max-size", "5"],
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        env=child_env,
         capture_output=True,
         text=True,
     )
@@ -146,12 +145,12 @@ def test_exhaustive_oracle_script():
 @pytest.mark.parametrize(
     "args", [["--atoms", "0"], ["--atoms", "6"], ["--atoms", "7"], ["--max-size", "0"]]
 )
-def test_exhaustive_oracle_script_rejects_empty_runs(args):
+def test_exhaustive_oracle_script_rejects_empty_runs(args, child_env):
     root = Path(__file__).resolve().parents[1]
     script = root / "scripts" / "exhaustive_oracle.py"
     result = subprocess.run(
         [sys.executable, str(script), *args],
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        env=child_env,
         capture_output=True,
         text=True,
     )

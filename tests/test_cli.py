@@ -1,8 +1,6 @@
 import hashlib
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -115,46 +113,43 @@ def test_leading_zero_index_is_status_2(capsys):
     ],
     ids=["true", "false", "bad-input"],
 )
-def test_python_dash_m_nes_passes_the_exit_status_through(argv, status, out):
-    src = Path(__file__).resolve().parents[1] / "src"
+def test_python_dash_m_nes_passes_the_exit_status_through(argv, status, out, child_env):
     result = subprocess.run(
         [sys.executable, "-m", "nes", *argv],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=child_env,
         capture_output=True,
         text=True,
     )
     assert (result.returncode, result.stdout) == (status, out), result.stderr
 
 
-def test_cold_import_leaves_out_dataclasses_and_inspect():
+def test_cold_import_leaves_out_dataclasses_and_inspect(child_env):
     # dataclasses pulls in inspect, ast, dis and tokenize: most of a cold
     # start's import time
-    src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import sys, nes.cli; "
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=child_env,
         capture_output=True,
         text=True,
     )
     assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
 
-def test_cold_import_leaves_out_argparse_gettext_and_re():
+def test_cold_import_leaves_out_argparse_gettext_and_re(child_env):
     # argparse and gettext were most of what a cold start spent in nes.cli;
     # typing itself imports re, so it comes first, and then any import of re
     # fails
-    src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import sys, typing; sys.modules['re'] = None; import nes.cli; "
         "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=child_env,
         capture_output=True,
         text=True,
     )

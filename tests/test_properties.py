@@ -199,7 +199,10 @@ def test_a_draw_moved_to_a_case_draws_what_a_new_one_does():
     # the shrinker replays tapes on it in between (None below), and start
     # must leave replay mode
     cfg = GenConfig(max_size=8)
-    for name in ("aeq_swap_swap", "m_subst_sub_neq", "aeq_m_subst_eq"):
+    for name in (
+        "aeq_swap_swap", "m_subst_sub_neq", "aeq_m_subst_eq", "m_subst_lemma",
+        "aeq_m_subst_in",
+    ):
         prop, digest = properties._CATALOGUE[name], zlib.crc32(name.encode())
         moved = properties._Draw(cfg, digest, 0)
         for case in (3, 0, None, 41, 42):
@@ -298,7 +301,7 @@ def test_alpha_variant_and_not_free_are_sound(monkeypatch, pool):
         variant = properties._alpha_variant(d, t)
         assert aeq(variant, t)
         assert fv_nom(variant) == fv_nom(t)
-        properties._KINDS["not_free"](d, t)
+        properties._not_free_in(d, t)
     if pool == (x,):
         assert fallbacks > 0
 
