@@ -4,13 +4,14 @@ A finite set of atoms is a plain ``frozenset``: it has no order, and
 ``sorted(atoms, key=Atom.sort_key)`` gives the display order.  Inside the
 library a set of atoms is also a bit mask: each atom owns the bit
 ``1 << k`` of its interning number ``k``, so a union is ``|`` and a
-membership test is ``&``; ``atoms_of`` decodes a mask.
+membership test is ``&``; ``atoms_of`` decodes a mask, and ``fresh``
+takes one as its avoid set.
 """
 
 from __future__ import annotations
 
 from itertools import count
-from typing import Container
+from typing import Iterable
 
 # Every atom ever built, keyed by (base, index).  Only valid atoms enter.
 _INTERNED: dict[tuple[str, int | None], Atom] = {}
@@ -92,19 +93,6 @@ def atoms_of(mask: int) -> frozenset[Atom]:
     return frozenset(out)
 
 
-class Mask:
-    """The atoms of a bit mask as a container for ``fresh``: ``a in
-    Mask(m)`` is one bit test, and no set is built."""
-
-    __slots__ = ("mask",)
-
-    def __init__(self, mask: int) -> None:
-        self.mask = mask
-
-    def __contains__(self, a: Atom) -> bool:
-        return self.mask & a._bit != 0
-
-
 def parse_atom(text: str) -> Atom:
     """Decode the display form of an atom: trailing digits are the index.
     An index of two or more digits may not start with ``0`` (``x01`` is no
@@ -116,20 +104,27 @@ def parse_atom(text: str) -> Atom:
     return Atom(base, int(index) if index else None)
 
 
-def fresh(avoid: Container[Atom], hint: Atom) -> Atom:
-    """The first atom not in ``avoid``: the hint itself, then the hint's
-    base with indices 0, 1, 2, ... in order.
-
-    ``avoid`` is anything that answers ``in``: a set, a tuple, or an object
-    whose ``__contains__`` decides membership without building a set (a
-    ``Mask``).  Total and deterministic; the indices are unbounded so some
-    candidate is always free.
+def fresh(avoid: int | Iterable[Atom], hint: Atom) -> Atom:
+    """The first atom not in ``avoid``, an atom mask or an iterable of
+    atoms: the hint itself, then the hint's base with indices 0, 1, 2, ...
+    in order, which are unbounded, so some candidate is always free.  A
+    candidate never interned is in no mask and ends the search; only the
+    returned atom is built.  Total and deterministic.
     """
-    if hint not in avoid:
+    if type(avoid) is not int:
+        mask = 0
+        for a in avoid:
+            if type(a) is not Atom:
+                raise TypeError(f"not an atom: {a!r}")
+            mask |= a._bit
+        avoid = mask
+    if type(hint) is not Atom:
+        raise TypeError(f"not an atom: {hint!r}")
+    if not avoid & hint._bit:
         return hint
-    i = 0
-    while True:
-        candidate = Atom(hint.base, i)
-        if candidate not in avoid:
+    for i in count():
+        candidate = _INTERNED.get((hint.base, i))
+        if candidate is None:
+            return Atom(hint.base, i)
+        if not avoid & candidate._bit:
             return candidate
-        i += 1

@@ -28,7 +28,7 @@ whose rebuilt children are the very objects it holds comes back itself.
 
 from __future__ import annotations
 
-from .atoms import Atom, Mask, fresh
+from .atoms import Atom, fresh
 from .term import (
     _LEAVES, Abs, App, ESub, Term, Var, _abs, _app, _esub, _term, free_in,
     permute,
@@ -61,7 +61,7 @@ def _msubst(t: Term, u: Term, x: Atom,
     # free in u or, for an ESub, in pi . arg (that is, b free in arg)
     z = y
     if y is not x and (u._free & y._bit or tp is ESub and free_in(b, t.arg)):
-        z = fresh(Mask(_image(t._free, pi) | u._free | x._bit), y)
+        z = fresh(_image(t._free, pi) | u._free | x._bit, y)
     # the argument sits outside the binder, under the renamings above t
     arg = _msubst(t.arg, u, x, pi, inv) if tp is ESub else None
     if z is not y:

@@ -31,7 +31,7 @@ from typing import Union
 
 from .atoms import Atom, parse_atom
 from .msubst import msubst
-from .term import _LEAVES, Term, _abs, _app, _esub, _Record
+from .term import _LEAVES, Term, _abs, _app, _esub, _Record, _term
 
 
 class ParseError(Exception):
@@ -53,7 +53,7 @@ class Lit(_Record):
     term: Term
 
     def __init__(self, term: Term) -> None:
-        _set_term(self, term)
+        _set_term(self, _term(term))
 
 
 _set_term = Lit.term.__set__

@@ -14,15 +14,13 @@ import zlib
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .alpha import aeq, canonicalize
-from .atoms import Atom, Mask, atoms_of, fresh
+from .atoms import Atom, atoms_of, fresh
 from .parser import Lit, parse
 from .term import (
     _LEAVES,
     Abs,
-    App,
     ESub,
     Term,
-    Var,
     _Record,
     _abs,
     _app,
@@ -124,6 +122,17 @@ def _mix(a: int, b: int) -> int:
     return _finalize((a * _GAMMA + b) & _M64)
 
 
+def _pool(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
+    """``atoms`` as an atom pool: a nonempty tuple of atoms."""
+    pool = tuple(atoms)
+    for a in pool:
+        if type(a) is not Atom:
+            raise ValueError(f"atom_pool must hold atoms, not {type(a).__name__}")
+    if not pool:
+        raise ValueError("atom_pool must be nonempty")
+    return pool
+
+
 class GenConfig(_Record):
     """Parameters for term generation and law checking.
 
@@ -147,17 +156,12 @@ class GenConfig(_Record):
         seed: int = 0,
         cases: int = 10_000,
     ) -> None:
-        atom_pool = tuple(atom_pool)
         for name, value in (("max_size", max_size), ("seed", seed), ("cases", cases)):
             if type(value) is not int:
                 raise ValueError(f"{name} must be an int, not {type(value).__name__}")
-        for a in atom_pool:
-            if type(a) is not Atom:
-                raise ValueError(f"atom_pool must hold atoms, not {type(a).__name__}")
+        atom_pool = _pool(atom_pool)
         if max_size < 1:
             raise ValueError("max_size must be at least 1")
-        if not atom_pool:
-            raise ValueError("atom_pool must be nonempty")
         if not 0 <= seed <= _M64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if cases < 1:
@@ -212,7 +216,10 @@ def gen_term(config: GenConfig, position: int) -> Term:
     its memo, for positions below a fixed node budget (``_MEMO_NODES``,
     counting each term as ``max_size`` nodes plus its entry's overhead);
     later positions are generated afresh."""
-    terms = config._terms
+    try:
+        terms = config._terms
+    except AttributeError:  # only a GenConfig has a memo
+        raise TypeError(f"not a GenConfig: {config!r}") from None
     t = terms.get(position)
     if t is None:
         t = _gen(_Stream(_mix(config.seed, position)), config.max_size, config.atom_pool)
@@ -244,22 +251,23 @@ def _gen(rng: _Stream, budget: int, pool: Sequence[Atom]) -> Term:
     return _esub(_gen(rng, left, pool), pool[rng.choose(n)], _gen(rng, right, pool))
 
 
-def enumerate_terms(max_size: int, pool: Sequence[Atom]) -> list[Term]:
+def enumerate_terms(max_size: int, pool: Iterable[Atom]) -> list[Term]:
     """Every term of size at most ``max_size`` over ``pool``, smallest
-    first.  Intended for exhaustive cross-checks at small sizes."""
+    first.  Intended for exhaustive cross-checks at small sizes.  ``pool``
+    is checked as ``GenConfig`` checks its atom pool."""
+    pool = _pool(pool)
     if max_size < 1:
         return []
-    pool = tuple(pool)
-    by_size: list[list[Term]] = [[], [Var(a) for a in pool]]
+    by_size: list[list[Term]] = [[], [_LEAVES[a] for a in pool]]
     for n in range(2, max_size + 1):
         bucket: list[Term] = []
-        bucket.extend(Abs(a, t) for a in pool for t in by_size[n - 1])
+        bucket.extend(_abs(a, t) for a in pool for t in by_size[n - 1])
         for i in range(1, n - 1):
             bucket.extend(
-                App(f, g) for f in by_size[i] for g in by_size[n - 1 - i]
+                _app(f, g) for f in by_size[i] for g in by_size[n - 1 - i]
             )
             bucket.extend(
-                ESub(b, a, u)
+                _esub(b, a, u)
                 for b in by_size[i]
                 for a in pool
                 for u in by_size[n - 1 - i]
@@ -324,7 +332,7 @@ def _distinct_from(a: Atom, b: Atom) -> Atom:
     """``b`` itself, or a deterministic replacement differing from ``a``."""
     if b is not a:
         return b
-    return fresh((a,), b)
+    return fresh(a._bit, b)
 
 
 def _swap_out(t: Term, a: Atom) -> Term:
@@ -332,7 +340,7 @@ def _swap_out(t: Term, a: Atom) -> Term:
     (``a`` is swapped with an entirely fresh atom when necessary)."""
     if not free_in(a, t):
         return t
-    c = fresh(Mask(t._atoms), a)  # a is free in t, so it occurs in t
+    c = fresh(t._atoms, a)  # a is free in t, so it occurs in t
     return swap(a, c, t)
 
 
@@ -357,7 +365,7 @@ def _not_free(d: _Draw, candidates: list[Atom], atoms: int) -> Atom:
     built so far)."""
     if candidates:
         return candidates[d.rng.choose(len(candidates))]
-    return fresh(Mask(atoms), d.config.atom_pool[0])
+    return fresh(atoms, d.config.atom_pool[0])
 
 
 def _alpha_variant(d: _Draw, t: Term) -> Term:
@@ -375,7 +383,7 @@ def _alpha_variant(d: _Draw, t: Term) -> Term:
         candidates = _candidates(d, free, atoms)
         x = _not_free(d, candidates, atoms)
         if d.rng.choose(2):
-            y = fresh(Mask(atoms | x._bit), x)
+            y = fresh(atoms | x._bit, x)
         else:
             y = _not_free(d, candidates, atoms)
         ax, ay = inv.get(x, x), inv.get(y, y)
@@ -399,7 +407,7 @@ def _pick_avoiding(d: _Draw, avoid: int) -> Atom:
     candidates = [a for a in d.config.atom_pool if not avoid & a._bit]
     if candidates:
         return candidates[d.rng.choose(len(candidates))]
-    return fresh(Mask(avoid), d.atom())
+    return fresh(avoid, d.atom())
 
 
 def _not_free_in(d: _Draw, t: Term) -> Atom:
@@ -669,6 +677,8 @@ def run_property(name: str, config: GenConfig) -> PropertyReport:
     prop = _CATALOGUE.get(name)
     if prop is None:
         raise UnknownPropertyError(name)
+    if type(config) is not GenConfig:
+        raise TypeError(f"not a GenConfig: {config!r}")
     d = _Draw(config, zlib.crc32(name.encode()), 0)
     failed = [
         case for case in range(config.cases)

@@ -324,6 +324,8 @@ def permute(pi: dict[Atom, Atom], t: Term) -> Term:
     same object without being entered; every other subterm changes."""
     moved = 0
     for a, b in pi.items():
+        if type(a) is not Atom or type(b) is not Atom:
+            raise TypeError(f"not an atom: {b if type(a) is Atom else a!r}")
         if a is not b:
             moved |= a._bit
     return _permute(_term(t), pi, moved)
@@ -347,8 +349,6 @@ def _permute(t: Term, pi: dict[Atom, Atom], moved: int) -> Term:
 def swap(x: Atom, y: Atom, t: Term) -> Term:
     """Exchange x and y at every atom position of ``t``, binders included:
     ``permute`` by one transposition, so ``t`` itself when x is y."""
-    if x is y:
-        return t
     return permute({x: y, y: x}, t)
 
 

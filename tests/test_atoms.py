@@ -10,7 +10,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from nes import Abs, Atom, ESub, Var, fresh, parse_atom
-from nes.atoms import atoms_of
+from nes.atoms import _INTERNED, atoms_of
 from strategies import atoms
 
 x, y = Atom("x"), Atom("y")
@@ -38,6 +38,33 @@ def test_fresh_avoids_and_is_deterministic(avoid, hint):
     got = fresh(avoid, hint)
     assert got not in avoid
     assert fresh(avoid, hint) == got
+
+
+def test_fresh_on_a_mask_is_fresh_on_its_atoms():
+    # x0, x1 and x2 are interned (above), so a probe of base x finds an
+    # atom; no atom of base "unindexed" has an index until fresh builds one,
+    # so its first probe ends the search
+    u = Atom("unindexed")
+    assert not any(k[0] == "unindexed" and k[1] is not None for k in _INTERNED)
+    pool = (x, x0, x2, y, u)
+    for chosen in itertools.product((False, True), repeat=len(pool)):
+        mask = sum(a._bit for a, c in zip(pool, chosen) if c)
+        for hint in (x, x0, x2, y, u, x1):
+            got = fresh(mask, hint)
+            assert got is fresh(atoms_of(mask), hint), (atoms_of(mask), hint)
+            assert not mask & got._bit
+    assert fresh(u._bit, u) is Atom("unindexed", 0)
+
+
+@pytest.mark.parametrize(
+    "avoid, hint",
+    [((), None), ((), "x"), ((), Var(x)), ([x, 5], x), ((None,), y), ("x", x)],
+    ids=["none-hint", "str-hint", "var-hint", "int-in-avoid", "none-in-avoid",
+         "str-avoid"],
+)
+def test_fresh_rejects_non_atoms(avoid, hint):
+    with pytest.raises(TypeError, match="not an atom: "):
+        fresh(avoid, hint)
 
 
 def test_display_and_identity():

@@ -137,6 +137,13 @@ def test_eval_meta():
     assert aeq(got, Abs(z, App(Var(y), Var(z))))
 
 
+@pytest.mark.parametrize("junk", [5, None, "x", x, Lit(Var(x))])
+def test_lit_rejects_non_terms(junk):
+    # so eval_meta never hands back what is not a term
+    with pytest.raises(TypeError, match="not a term: "):
+        eval_meta(Lit(junk))
+
+
 def test_eval_meta_innermost_first():
     # {x := b} ({a := x} a) must substitute a first, then x
     got = eval_meta(parse("{x := b} {a := x} a"))

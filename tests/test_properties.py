@@ -281,6 +281,79 @@ def test_enumerate_terms_below_size_one_is_empty():
     assert enumerate_terms(-3, (x, y)) == []
 
 
+@pytest.mark.parametrize(
+    "pool, message",
+    [((), "atom_pool must be nonempty"), ([x, "y"], "atom_pool must hold atoms, not str"),
+     ((None,), "atom_pool must hold atoms, not NoneType")],
+)
+def test_enumerate_terms_checks_its_pool_as_genconfig_does(pool, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GenConfig(atom_pool=pool)
+    for max_size in (2, 0):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            enumerate_terms(max_size, pool)
+
+
+@pytest.mark.parametrize("junk", [None, 20, properties.DEFAULT_POOL])
+def test_gen_term_rejects_non_configs(junk):
+    with pytest.raises(TypeError, match="not a GenConfig: "):
+        gen_term(junk, 0)
+
+
+@pytest.mark.parametrize("junk", [None, 20, properties._Draw(GenConfig(), 0, 0)])
+def test_run_property_rejects_non_configs(junk):
+    with pytest.raises(TypeError, match="not a GenConfig: "):
+        run_property("swap_id", junk)
+
+
+# A vacuity audit of two repairs.  Each helper is replaced by its unrepaired
+# draw (``b`` for ``_distinct_from(a, b)``, ``t`` for ``_swap_out(t, a)``)
+# and each law that calls it runs without its hypothesis.  True marks a law
+# that must then fail: 16 cases at seed 0 is the smallest count at which all
+# of them do (m_subst_lemma without _distinct_from first fails at case 15).
+# m_subst_abs_neq and m_subst_sub_neq still hold with x = y: then z != x and
+# z not free in the binder node leave x not free in swap y z t, so both
+# sides are alpha-equal, and their x != y conjunct is not needed.
+_UNREPAIRED = {"_distinct_from": lambda a, b: b, "_swap_out": lambda t, a: t}
+_NEEDED = {
+    "_distinct_from": {
+        "swap_neq": True, "shuffle_swap": True, "m_subst_abs_neq": False,
+        "m_subst_sub_neq": False, "m_subst_lemma": True,
+    },
+    "_swap_out": {
+        "fv_nom_swap": True, "notin_fv_nom_equivariance": True,
+        "notin_fv_nom_remove_swap": True, "m_subst_notin": True,
+        "m_subst_lemma": True,
+    },
+}
+
+
+@pytest.mark.parametrize("helper", sorted(_NEEDED))
+def test_repairs_are_needed_where_the_audit_says(monkeypatch, helper):
+    callers = set()
+
+    def unrepaired(*args):
+        callers.add(name)  # the law being drawn
+        return _UNREPAIRED[helper](*args)
+
+    monkeypatch.setattr(properties, helper, unrepaired)
+    cfg = GenConfig(cases=16, seed=0)
+    failing = {}
+    for name in PROPERTY_NAMES:
+        prop = properties._CATALOGUE[name]
+        bare = properties._Prop(prop.draw, prop.body)
+        d = properties._Draw(cfg, zlib.crc32(name.encode()), 0)
+        failures = sum(
+            not properties._holds(
+                bare, properties._draw_case(name, bare, d.start(case), case)
+            )
+            for case in range(cfg.cases)
+        )
+        if name in callers:
+            failing[name] = failures > 0
+    assert failing == _NEEDED[helper]
+
+
 @pytest.mark.parametrize("pool", [properties.DEFAULT_POOL, (x,)])
 def test_alpha_variant_and_not_free_are_sound(monkeypatch, pool):
     not_free = properties._not_free

@@ -140,7 +140,7 @@ def test_equality_respects_the_class():
     a, b = FVar(x), BVar(0)
     assert CApp(a, b) != CSub(a, b) and CSub(a, b) != CApp(a, b)
     assert BVar(0) != FVar(x) and FVar(x) != BVar(0)
-    assert CLam(a) != Lit(a)
+    assert CLam(Var(x)) != Lit(Var(x))
     assert BVar(0) != BVar(1) and CApp(a, b) != CApp(b, a)
     assert len({CApp(a, b), CSub(a, b), CApp(a, b)}) == 2
     report = PropertyReport("law", 10, 1, 0)

@@ -100,6 +100,28 @@ def test_free_in_rejects_bad_input(junk):
         free_in(junk, Var(x))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: swap(x, x, 5), "not a term: 5"),
+        (lambda: swap(x, y, "junk"), "not a term: 'junk'"),
+        (lambda: swap(5, y, Var(x)), "not an atom: 5"),
+        (lambda: swap(x, None, Var(x)), "not an atom: None"),
+        (lambda: swap(Var(x), Var(x), Var(x)), "not an atom: Var"),
+        (lambda: permute({x: 5}, Var(x)), "not an atom: 5"),
+        (lambda: permute({5: x}, Var(x)), "not an atom: 5"),
+        (lambda: permute({z: "w"}, Var(x)), "not an atom: 'w'"),
+        (lambda: permute({}, None), "not a term: None"),
+    ],
+    ids=["swap-same-atoms-int-term", "swap-str-term", "swap-int-atom",
+         "swap-none-atom", "swap-var-atoms", "permute-int-image",
+         "permute-int-key", "permute-unused-str-image", "permute-none-term"],
+)
+def test_swap_and_permute_reject_bad_input(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
 def _occurring_by_walk(t):
     # Independent occurring-atom computation: every atom position, binders
     # included.
@@ -361,8 +383,9 @@ def test_walks_build_what_the_public_constructors_build():
     # u has y and z free, so msubst renames binders y on its way down
     u = App(Var(z), Abs(x, Var(y)))
     config = GenConfig(max_size=4, atom_pool=(x, y))
-    built = [gen_term(config, i) for i in range(200)]
-    for t in enumerate_terms(4, (x, y)):
+    universe = enumerate_terms(4, (x, y))
+    built = [gen_term(config, i) for i in range(200)] + universe
+    for t in universe:
         built += [
             swap(x, y, t), permute({x: z, z: y, y: x}, t),
             msubst(t, u, x), msubst(t, Var(x), y), parse(render(t)).term,
