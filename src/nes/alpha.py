@@ -14,6 +14,10 @@ class BVar(_Record):
     index: int
 
     def __init__(self, index: int) -> None:
+        if type(index) is not int:
+            raise TypeError(f"not an index: {index!r}")
+        if index < 0:
+            raise ValueError(f"negative index: {index!r}")
         _set_index(self, index)
 
 
@@ -22,6 +26,8 @@ class FVar(_Record):
     atom: Atom
 
     def __init__(self, atom: Atom) -> None:
+        if type(atom) is not Atom:
+            raise TypeError(f"not an atom: {atom!r}")
         _set_atom(self, atom)
 
 
@@ -30,7 +36,7 @@ class CLam(_Record):
     body: "CanonicalTerm"
 
     def __init__(self, body: "CanonicalTerm") -> None:
-        _set_lam_body(self, body)
+        _set_lam_body(self, _canonical(body))
 
 
 class CApp(_Record):
@@ -39,8 +45,8 @@ class CApp(_Record):
     arg: "CanonicalTerm"
 
     def __init__(self, fun: "CanonicalTerm", arg: "CanonicalTerm") -> None:
-        _set_fun(self, fun)
-        _set_app_arg(self, arg)
+        _set_fun(self, _canonical(fun))
+        _set_app_arg(self, _canonical(arg))
 
 
 class CSub(_Record):
@@ -52,8 +58,8 @@ class CSub(_Record):
     arg: "CanonicalTerm"
 
     def __init__(self, body: "CanonicalTerm", arg: "CanonicalTerm") -> None:
-        _set_sub_body(self, body)
-        _set_sub_arg(self, arg)
+        _set_sub_body(self, _canonical(body))
+        _set_sub_arg(self, _canonical(arg))
 
 
 _set_index, _set_atom, _set_lam_body = (
@@ -63,6 +69,14 @@ _set_fun, _set_app_arg = CApp.fun.__set__, CApp.arg.__set__
 _set_sub_body, _set_sub_arg = CSub.body.__set__, CSub.arg.__set__
 
 CanonicalTerm = Union[BVar, FVar, CLam, CApp, CSub]
+_CANONICAL = frozenset((BVar, FVar, CLam, CApp, CSub))
+
+
+def _canonical(c: object) -> CanonicalTerm:
+    # ``c`` itself, once it is known to be a canonical term
+    if type(c) not in _CANONICAL:
+        raise TypeError(f"not a canonical term: {c!r}")
+    return c
 
 
 def canonicalize(t: Term) -> CanonicalTerm:

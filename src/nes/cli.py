@@ -18,12 +18,7 @@ from .alpha import aeq, canonicalize, render_canonical
 from .atoms import Atom, parse_atom
 from .msubst import msubst
 from .parser import ParseError, eval_meta, parse
-from .properties import (
-    PROPERTY_NAMES,
-    GenConfig,
-    PropertyReport,
-    run_property,
-)
+from .properties import PROPERTY_NAMES, GenConfig, run_property
 from .term import Term, fv_nom, render, swap
 
 
@@ -69,20 +64,8 @@ def _cmd_canon(expr: str) -> int:
     return 0
 
 
-def _text_lines(report: PropertyReport) -> list[str]:
-    status = "ok  " if report.failures == 0 else "FAIL"
-    lines = [
-        f"{status} {report.name:<26} cases={report.cases_run} "
-        f"failures={report.failures} seed={report.seed}"
-    ]
-    if report.counterexample is not None:
-        lines.append("     counterexample:")
-        lines.extend(f"       {k} = {v}" for k, v in report.counterexample)
-    return lines
-
-
-def _cmd_check(lemma: tuple[str, ...] = (), cases: int = 10_000, seed: int = 0,
-               max_size: int = 20, pool: str = "x,y,z,w,v", format: str = "text") -> int:
+def _cmd_check(lemma: tuple[str, ...] = (), pool: str | None = None,
+               format: str = "text", **fields: int) -> int:
     if format not in ("text", "tsv"):
         raise _UsageError(f"--format takes text or tsv, not {format!r}")
     names = lemma or PROPERTY_NAMES
@@ -91,21 +74,15 @@ def _cmd_check(lemma: tuple[str, ...] = (), cases: int = 10_000, seed: int = 0,
         raise _UsageError(
             f"unknown lemma {unknown[0]!r}; valid names: {', '.join(PROPERTY_NAMES)}"
         )
-    atoms = tuple(parse_atom(part.strip()) for part in pool.split(","))
-    config = GenConfig(max_size=max_size, atom_pool=atoms, seed=seed, cases=cases)
-    # term operations recurse to roughly the term depth
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4 * config.max_size + 1000))
+    if pool is not None:
+        fields["atom_pool"] = tuple(parse_atom(part.strip()) for part in pool.split(","))
+    config = GenConfig(**fields)
     failed = False
-    try:
-        for name in names:
-            report = run_property(name, config)
-            lines = report.tsv_lines() if format == "tsv" else _text_lines(report)
-            print("\n".join(lines))
-            if report.failures:
-                failed = True
-    finally:
-        sys.setrecursionlimit(limit)
+    for name in names:
+        report = run_property(name, config)
+        print("\n".join(report.lines(format)))
+        if report.failures:
+            failed = True
     return 1 if failed else 0
 
 

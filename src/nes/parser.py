@@ -68,6 +68,11 @@ class Meta(_Record):
     arg: "MetaExpr"
 
     def __init__(self, target: "MetaExpr", var: Atom, arg: "MetaExpr") -> None:
+        for e in (target, arg):
+            if type(e) not in (Lit, Meta):
+                raise TypeError(f"not a meta expression: {e!r}")
+        if type(var) is not Atom:
+            raise TypeError(f"not an atom: {var!r}")
         super().__init__(target, var, arg)
 
 

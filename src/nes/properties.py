@@ -192,12 +192,26 @@ class PropertyReport(_Record):
                  counterexample: tuple[tuple[str, str], ...] | None = None) -> None:
         super().__init__(name, cases_run, failures, seed, counterexample)
 
-    def tsv_lines(self) -> list[str]:
-        lines = [f"{self.name}\t{self.cases_run}\t{self.failures}\t{self.seed}"]
+    def lines(self, format: str = "tsv") -> list[str]:
+        """The report as ``tsv`` or ``text`` lines: the law's name, cases
+        run, failures and seed, then any counterexample, one input a line."""
+        if format == "tsv":
+            lines = [f"{self.name}\t{self.cases_run}\t{self.failures}\t{self.seed}"]
+            margin = "#"
+        elif format == "text":
+            status = "ok  " if self.failures == 0 else "FAIL"
+            lines = [f"{status} {self.name:<26} cases={self.cases_run} "
+                     f"failures={self.failures} seed={self.seed}"]
+            margin = "    "
+        else:
+            raise ValueError(f"format must be text or tsv, not {format!r}")
         if self.counterexample is not None:
-            lines.append("# counterexample:")
-            lines.extend(f"#   {k} = {v}" for k, v in self.counterexample)
+            lines.append(f"{margin} counterexample:")
+            lines.extend(f"{margin}   {k} = {v}" for k, v in self.counterexample)
         return lines
+
+    # called by perfbench/workloads.py, which changes only with the benchmark
+    tsv_lines = lines
 
 
 class UnknownPropertyError(ValueError):
@@ -220,6 +234,8 @@ def gen_term(config: GenConfig, position: int) -> Term:
         terms = config._terms
     except AttributeError:  # only a GenConfig has a memo
         raise TypeError(f"not a GenConfig: {config!r}") from None
+    if type(position) is not int:
+        raise TypeError(f"not a position: {position!r}")
     t = terms.get(position)
     if t is None:
         t = _gen(_Stream(_mix(config.seed, position)), config.max_size, config.atom_pool)
@@ -255,6 +271,8 @@ def enumerate_terms(max_size: int, pool: Iterable[Atom]) -> list[Term]:
     """Every term of size at most ``max_size`` over ``pool``, smallest
     first.  Intended for exhaustive cross-checks at small sizes.  ``pool``
     is checked as ``GenConfig`` checks its atom pool."""
+    if type(max_size) is not int:
+        raise TypeError(f"max_size must be an int, not {max_size!r}")
     pool = _pool(pool)
     if max_size < 1:
         return []

@@ -309,6 +309,9 @@ def free_in(a: Atom, t: Term) -> bool:
 
 def vswap(x: Atom, y: Atom, z: Atom) -> Atom:
     """Exchange x and y: returns y if z is x, x if z is y, else z itself."""
+    for a in (x, y, z):
+        if type(a) is not Atom:
+            raise TypeError(f"not an atom: {a!r}")
     if z is x:
         return y
     if z is y:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import subprocess
 import sys
 
@@ -193,6 +194,19 @@ def test_help_is_status_0_on_stdout(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.startswith("usage: nes parse EXPR") and "--max-size 20" in out
+
+
+def test_usage_states_genconfigs_defaults():
+    # nes check passes on only the options it is given, so GenConfig holds
+    # the defaults, and the usage text is the one other place that states
+    # them
+    shown = dict(re.findall(r"\[--(cases|seed|max-size|pool) ([^]]*)\]", cli._USAGE))
+    config = properties.GenConfig()
+    assert shown == {
+        "cases": str(config.cases), "seed": str(config.seed),
+        "max-size": str(config.max_size),
+        "pool": ",".join(map(str, config.atom_pool)),
+    }
 
 
 def test_check_options_equals_form_and_last_value_wins(capsys):

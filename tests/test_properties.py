@@ -157,6 +157,32 @@ def test_gen_term_covers_all_constructors():
     assert seen == {Var, Abs, App, ESub}
 
 
+def _depth(t):
+    # nodes on the longest path from the root to a leaf
+    deepest, stack = 0, [(t, 1)]
+    while stack:
+        t, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(t, Abs):
+            stack.append((t.body, depth + 1))
+        elif isinstance(t, App):
+            stack += [(t.fun, depth + 1), (t.arg, depth + 1)]
+        elif isinstance(t, ESub):
+            stack += [(t.body, depth + 1), (t.arg, depth + 1)]
+    return deepest
+
+
+def test_drawn_terms_are_shallow_at_any_max_size():
+    # Drawn terms grow in depth far more slowly than in size: at max size
+    # 20 000 the deepest of the first 100 is 50 deep.  So nes check runs
+    # under the default recursion limit (1 000) at any --max-size; the
+    # bound of 100 leaves room below parse, the deepest recursion a law
+    # reaches (parse_roundtrip), which takes about three frames per
+    # nesting level and fails at about 330 nested parentheses under that limit.
+    cfg = GenConfig(max_size=20_000, seed=0)
+    assert max(_depth(gen_term(cfg, i)) for i in range(100)) <= 100
+
+
 def test_gen_term_expected_size_tracks_max_size():
     cfg = GenConfig(max_size=20)
     sizes = [size(gen_term(cfg, pos)) for pos in range(2000)]
@@ -306,15 +332,32 @@ def test_run_property_rejects_non_configs(junk):
         run_property("swap_id", junk)
 
 
-# A vacuity audit of two repairs.  Each helper is replaced by its unrepaired
-# draw (``b`` for ``_distinct_from(a, b)``, ``t`` for ``_swap_out(t, a)``)
-# and each law that calls it runs without its hypothesis.  True marks a law
-# that must then fail: 16 cases at seed 0 is the smallest count at which all
-# of them do (m_subst_lemma without _distinct_from first fails at case 15).
+# A vacuity audit of the repairs.  Each helper is replaced by its unrepaired
+# draw (``b`` for ``_distinct_from(a, b)``, ``t`` for ``_swap_out(t, a)``, a
+# pool atom for ``_not_free_in`` and an independent term for
+# ``_alpha_variant``) and each law that calls it runs without its
+# hypothesis.  ``_pick_avoiding`` serves three conjuncts of m_subst_abs_neq
+# and m_subst_sub_neq, so each part of its avoid mask (_AVOIDED) is dropped
+# in turn.  True marks a law that must then fail: 38 cases at seed 0 is the
+# smallest count at which all of them do (m_subst_sub_neq without x in the
+# mask first fails at case 37).
 # m_subst_abs_neq and m_subst_sub_neq still hold with x = y: then z != x and
 # z not free in the binder node leave x not free in swap y z t, so both
-# sides are alpha-equal, and their x != y conjunct is not needed.
-_UNREPAIRED = {"_distinct_from": lambda a, b: b, "_swap_out": lambda t, a: t}
+# sides are alpha-equal, and their x != y conjunct is not needed.  aeq_sym,
+# aeq_swap and aeq_oracle have no hypothesis and hold for any pair.
+_UNREPAIRED = {
+    "_distinct_from": lambda a, b: b,
+    "_swap_out": lambda t, a: t,
+    "_not_free_in": lambda d, t: d.atom(),
+    "_alpha_variant": lambda d, t: d.term(),
+}
+_AVOIDED = {
+    "u": lambda i: i["u"]._free,
+    "binder": lambda i: (
+        Abs(i["y"], i["t"]) if "t" in i else ESub(i["t1"], i["y"], i["t2"])
+    )._free,
+    "x": lambda i: i["x"]._bit,
+}
 _NEEDED = {
     "_distinct_from": {
         "swap_neq": True, "shuffle_swap": True, "m_subst_abs_neq": False,
@@ -325,30 +368,52 @@ _NEEDED = {
         "notin_fv_nom_remove_swap": True, "m_subst_notin": True,
         "m_subst_lemma": True,
     },
+    "_not_free_in": {"swap_reduction": True, "aeq_swap_swap": True},
+    "_alpha_variant": {
+        "aeq_sym": False, "aeq_trans": True, "aeq_size": True, "aeq_fv_nom": True,
+        "aeq_swap": False, "aeq_oracle": False, "aeq_m_subst_in": True,
+        "aeq_m_subst_out": True, "aeq_m_subst_eq": True,
+    },
+    **{
+        f"_pick_avoiding without {part}": {
+            "m_subst_abs_neq": True, "m_subst_sub_neq": True,
+        }
+        for part in _AVOIDED
+    },
 }
 
 
 @pytest.mark.parametrize("helper", sorted(_NEEDED))
 def test_repairs_are_needed_where_the_audit_says(monkeypatch, helper):
     callers = set()
+    attr, _, dropped = helper.partition(" without ")
+    pick = properties._pick_avoiding
 
     def unrepaired(*args):
         callers.add(name)  # the law being drawn
+        if dropped:
+            return None  # z is picked below, once the other inputs are drawn
         return _UNREPAIRED[helper](*args)
 
-    monkeypatch.setattr(properties, helper, unrepaired)
-    cfg = GenConfig(cases=16, seed=0)
+    monkeypatch.setattr(properties, attr, unrepaired)
+    cfg = GenConfig(cases=38, seed=0)
     failing = {}
     for name in PROPERTY_NAMES:
         prop = properties._CATALOGUE[name]
         bare = properties._Prop(prop.draw, prop.body)
         d = properties._Draw(cfg, zlib.crc32(name.encode()), 0)
-        failures = sum(
-            not properties._holds(
-                bare, properties._draw_case(name, bare, d.start(case), case)
-            )
-            for case in range(cfg.cases)
-        )
+        failures = 0
+        for case in range(cfg.cases):
+            inputs = properties._draw_case(name, bare, d.start(case), case)
+            if dropped and name in callers:
+                # the pick is the drawer's last choice, so d's stream stands
+                # where the drawer's call would read it
+                avoid = 0
+                for part, mask in _AVOIDED.items():
+                    if part != dropped:
+                        avoid |= mask(inputs)
+                inputs["z"] = pick(d, avoid)
+            failures += not properties._holds(bare, inputs)
         if name in callers:
             failing[name] = failures > 0
     assert failing == _NEEDED[helper]
@@ -424,12 +489,24 @@ def test_capturing_msubst_is_killed_and_shrinks_small(monkeypatch):
 
 def test_report_tsv_lines(broken_law):
     ok = run_property("vswap_id", GenConfig(cases=10))
-    assert ok.tsv_lines() == ["vswap_id\t10\t0\t0"]
+    assert ok.tsv_lines() == ok.lines() == ["vswap_id\t10\t0\t0"]
     failing = run_property(broken_law, GenConfig(cases=50, seed=3))
     lines = failing.tsv_lines()
+    assert lines == failing.lines("tsv")
     assert lines[0].startswith("every_term_is_app_free\t50\t")
     assert lines[1] == "# counterexample:"
     assert any(line.startswith("#   t = ") for line in lines[2:])
+    # the text layout of the same two reports
+    assert ok.lines("text") == [
+        "ok   vswap_id                   cases=10 failures=0 seed=0"
+    ]
+    lines = failing.lines("text")
+    assert lines[0].startswith("FAIL every_term_is_app_free     cases=50 failures=")
+    assert lines[0].endswith(" seed=3")
+    assert lines[1] == "     counterexample:"
+    assert lines[2:] == [f"       {k} = {v}" for k, v in failing.counterexample]
+    with pytest.raises(ValueError, match="^format must be text or tsv, not 'json'$"):
+        ok.lines("json")
 
 
 def test_repair_recheck_raises_on_bad_generator(monkeypatch):

@@ -1,11 +1,14 @@
 """What the record classes promise: exact repr, field-wise == and hash
-that respect the class, read-only fields, copies, and match patterns."""
+that respect the class, read-only fields, copies, and match patterns; and
+what every public callable does with an argument of the wrong type."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
 
+import nes
 from nes import (
     Atom,
     BVar,
@@ -140,7 +143,7 @@ def test_equality_respects_the_class():
     a, b = FVar(x), BVar(0)
     assert CApp(a, b) != CSub(a, b) and CSub(a, b) != CApp(a, b)
     assert BVar(0) != FVar(x) and FVar(x) != BVar(0)
-    assert CLam(Var(x)) != Lit(Var(x))
+    assert CLam(FVar(x)) != Lit(Var(x))
     assert BVar(0) != BVar(1) and CApp(a, b) != CApp(b, a)
     assert len({CApp(a, b), CSub(a, b), CApp(a, b)}) == 2
     report = PropertyReport("law", 10, 1, 0)
@@ -268,3 +271,84 @@ def test_nameless_equality_and_hash_are_stack_safe(build):
     assert hash(s) == hash(t)
     assert repr(s) == text(DEEP, leaf)
     assert repr(other) == text(DEEP, other_leaf)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: BVar("s"), "not an index: 's'"),
+        (lambda: BVar(True), "not an index: True"),
+        (lambda: BVar(-1), "negative index: -1"),
+        (lambda: FVar(None), "not an atom: None"),
+        (lambda: CLam(5), "not a canonical term: 5"),
+        (lambda: CApp(None, BVar(0)), "not a canonical term: None"),
+        (lambda: CSub(BVar(0), "s"), "not a canonical term: 's'"),
+        (lambda: CLam(Var(x)), "not a canonical term: Var"),
+        (lambda: Meta(5, x, Lit(Var(x))), "not a meta expression: 5"),
+        (lambda: Meta(Lit(Var(x)), x, Var(x)), "not a meta expression: Var"),
+        (lambda: Meta(Lit(Var(x)), "x", Lit(Var(x))), "not an atom: 'x'"),
+    ],
+)
+def test_nameless_records_and_meta_check_their_fields(make, message):
+    with pytest.raises((TypeError, ValueError), match=f"^{message}"):
+        make()
+
+
+# What each public callable takes, one kind per parameter, and the wrong
+# values of each kind: the walk below passes each of them, one position at
+# a time, with right values (GOOD) everywhere else.
+WRONG = {"None": None, "int": 5, "str": "s", "float": 1.5, "bool": True,
+         "term": Var(x), "Lit": Lit(Var(x)), "BVar": BVar(0)}
+GOOD = {
+    "atom": x, "term": Var(x), "canonical": BVar(0), "meta": Lit(Var(x)),
+    "text": "x", "law": "swap_id", "int": 2, "index": None, "avoid": 0,
+    "pool": (x,), "config": GenConfig(max_size=2, cases=1),
+}
+# the values of WRONG that a kind accepts
+RIGHT = {
+    "term": {"term"}, "canonical": {"BVar"}, "meta": {"Lit"}, "text": {"str"},
+    "int": {"int"}, "index": {"None", "int"}, "avoid": {"int"},
+}
+PARAMETERS = {
+    "Atom": ("text", "index"), "fresh": ("avoid", "atom"), "parse_atom": ("text",),
+    "Var": ("atom",), "Abs": ("atom", "term"), "App": ("term", "term"),
+    "ESub": ("term", "atom", "term"), "size": ("term",), "fv_nom": ("term",),
+    "all_atoms": ("term",), "vswap": ("atom", "atom", "atom"),
+    "swap": ("atom", "atom", "term"), "render": ("term",), "BVar": ("int",),
+    "FVar": ("atom",), "CLam": ("canonical",), "CApp": ("canonical", "canonical"),
+    "CSub": ("canonical", "canonical"), "aeq": ("term", "term"),
+    "canonicalize": ("term",), "render_canonical": ("canonical",),
+    "msubst": ("term", "term", "atom"), "Lit": ("term",),
+    "Meta": ("meta", "atom", "meta"), "parse": ("text",), "eval_meta": ("meta",),
+    "GenConfig": ("int", "pool", "int", "int"), "gen_term": ("config", "int"),
+    "run_property": ("law", "config"), "enumerate_terms": ("int", "pool"),
+}
+# Not walked: the exception classes, which carry what a failure reports;
+# PropertyReport, which only run_property builds; and the typing aliases,
+# which only annotate.
+NOT_WALKED = {"ParseError", "UnknownPropertyError", "PropertyReport",
+              "Term", "CanonicalTerm", "MetaExpr"}
+
+
+def test_the_walk_covers_every_public_callable():
+    public = {name for name in nes.__all__ if callable(getattr(nes, name))}
+    assert set(PARAMETERS) == public - NOT_WALKED
+    for name, kinds in PARAMETERS.items():
+        assert len(inspect.signature(getattr(nes, name)).parameters) == len(kinds)
+        getattr(nes, name)(*(GOOD[kind] for kind in kinds))
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETERS))
+def test_a_wrong_argument_raises_type_or_value_error(name):
+    call, kinds = getattr(nes, name), PARAMETERS[name]
+    for i, kind in enumerate(kinds):
+        for label, value in WRONG.items():
+            if label in RIGHT.get(kind, ()):
+                continue
+            args = [GOOD[k] for k in kinds]
+            args[i] = value
+            try:
+                got = call(*args)
+            except (TypeError, ValueError):
+                continue
+            pytest.fail(f"{name} returned {got!r} for {value!r} at position {i}")
