@@ -6,67 +6,136 @@ from __future__ import annotations
 from typing import Union
 
 from .atoms import Atom
-from .term import Abs, App, ESub, Term, Var, _Record, _term, free_in
+from .term import Abs, App, ESub, Term, Var, _new, _Record, _term, free_in
 
 
-class BVar(_Record):
-    __slots__ = __match_args__ = ("index",)
+# Like the term classes, each nameless class keeps its fields in the slots
+# of a private field class: its constructor checks them and calls its
+# builder, and ``_canon`` calls the builders directly.
+class _BVarFields:
+    __slots__ = ("index",)
+
+
+class _FVarFields:
+    __slots__ = ("atom",)
+
+
+class _CLamFields:
+    __slots__ = ("body",)
+
+
+class _CAppFields:
+    __slots__ = ("fun", "arg")
+
+
+class _CSubFields:
+    __slots__ = ("body", "arg")
+
+
+class BVar(_BVarFields, _Record):
+    __slots__ = ()
+    __match_args__ = ("index",)
     index: int
 
-    def __init__(self, index: int) -> None:
+    def __new__(cls, index: int) -> BVar:
         if type(index) is not int:
             raise TypeError(f"not an index: {index!r}")
         if index < 0:
             raise ValueError(f"negative index: {index!r}")
-        _set_index(self, index)
+        return _bvar(index)
+
+    __init__ = object.__init__
 
 
-class FVar(_Record):
-    __slots__ = __match_args__ = ("atom",)
+class FVar(_FVarFields, _Record):
+    __slots__ = ()
+    __match_args__ = ("atom",)
     atom: Atom
 
-    def __init__(self, atom: Atom) -> None:
+    def __new__(cls, atom: Atom) -> FVar:
         if type(atom) is not Atom:
             raise TypeError(f"not an atom: {atom!r}")
-        _set_atom(self, atom)
+        return _fvar(atom)
+
+    __init__ = object.__init__
 
 
-class CLam(_Record):
-    __slots__ = __match_args__ = ("body",)
+class CLam(_CLamFields, _Record):
+    __slots__ = ()
+    __match_args__ = ("body",)
     body: "CanonicalTerm"
 
-    def __init__(self, body: "CanonicalTerm") -> None:
-        _set_lam_body(self, _canonical(body))
+    def __new__(cls, body: "CanonicalTerm") -> CLam:
+        return _clam(_canonical(body))
+
+    __init__ = object.__init__
 
 
-class CApp(_Record):
-    __slots__ = __match_args__ = ("fun", "arg")
+class CApp(_CAppFields, _Record):
+    __slots__ = ()
+    __match_args__ = ("fun", "arg")
     fun: "CanonicalTerm"
     arg: "CanonicalTerm"
 
-    def __init__(self, fun: "CanonicalTerm", arg: "CanonicalTerm") -> None:
-        _set_fun(self, _canonical(fun))
-        _set_app_arg(self, _canonical(arg))
+    def __new__(cls, fun: "CanonicalTerm", arg: "CanonicalTerm") -> CApp:
+        return _capp(_canonical(fun), _canonical(arg))
+
+    __init__ = object.__init__
 
 
-class CSub(_Record):
+class CSub(_CSubFields, _Record):
     """Nameless explicit substitution: ``body`` sits under one binder,
     ``arg`` does not."""
 
-    __slots__ = __match_args__ = ("body", "arg")
+    __slots__ = ()
+    __match_args__ = ("body", "arg")
     body: "CanonicalTerm"
     arg: "CanonicalTerm"
 
-    def __init__(self, body: "CanonicalTerm", arg: "CanonicalTerm") -> None:
-        _set_sub_body(self, _canonical(body))
-        _set_sub_arg(self, _canonical(arg))
+    def __new__(cls, body: "CanonicalTerm", arg: "CanonicalTerm") -> CSub:
+        return _csub(_canonical(body), _canonical(arg))
+
+    __init__ = object.__init__
 
 
-_set_index, _set_atom, _set_lam_body = (
-    BVar.index.__set__, FVar.atom.__set__, CLam.body.__set__
-)
-_set_fun, _set_app_arg = CApp.fun.__set__, CApp.arg.__set__
-_set_sub_body, _set_sub_arg = CSub.body.__set__, CSub.arg.__set__
+# Unchecked builders, sealed like the term builders in ``nes.term``.
+
+def _bvar(index: int) -> BVar:
+    node = _new(_BVarFields)
+    node.index = index
+    node.__class__ = BVar
+    return node
+
+
+def _fvar(atom: Atom) -> FVar:
+    node = _new(_FVarFields)
+    node.atom = atom
+    node.__class__ = FVar
+    return node
+
+
+def _clam(body: CanonicalTerm) -> CLam:
+    node = _new(_CLamFields)
+    node.body = body
+    node.__class__ = CLam
+    return node
+
+
+def _capp(fun: CanonicalTerm, arg: CanonicalTerm) -> CApp:
+    node = _new(_CAppFields)
+    node.fun = fun
+    node.arg = arg
+    node.__class__ = CApp
+    return node
+
+
+def _csub(body: CanonicalTerm, arg: CanonicalTerm) -> CSub:
+    node = _new(_CSubFields)
+    node.body = body
+    node.arg = arg
+    node.__class__ = CSub
+    return node
+
 
 CanonicalTerm = Union[BVar, FVar, CLam, CApp, CSub]
 _CANONICAL = frozenset((BVar, FVar, CLam, CApp, CSub))
@@ -96,21 +165,21 @@ def _canon(t: Term, bound: list[Atom]) -> CanonicalTerm:
         case Var(a):
             for i in range(len(bound) - 1, -1, -1):
                 if bound[i] is a:
-                    return BVar(len(bound) - 1 - i)
-            return FVar(a)
+                    return _bvar(len(bound) - 1 - i)
+            return _fvar(a)
         case Abs(x, body):
             bound.append(x)
-            out = CLam(_canon(body, bound))
+            out = _clam(_canon(body, bound))
             bound.pop()
             return out
         case App(fun, arg):
-            return CApp(_canon(fun, bound), _canon(arg, bound))
+            return _capp(_canon(fun, bound), _canon(arg, bound))
         case ESub(body, x, arg):
             carg = _canon(arg, bound)
             bound.append(x)
             cbody = _canon(body, bound)
             bound.pop()
-            return CSub(cbody, carg)
+            return _csub(cbody, carg)
     raise TypeError(f"not a term: {t!r}")
 
 

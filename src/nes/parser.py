@@ -53,10 +53,7 @@ class Lit(_Record):
     term: Term
 
     def __init__(self, term: Term) -> None:
-        _set_term(self, _term(term))
-
-
-_set_term = Lit.term.__set__
+        super().__init__(_term(term))
 
 
 class Meta(_Record):

@@ -20,10 +20,11 @@ class _Record:
     this.
 
     Assigning or deleting an attribute raises ``AttributeError``, so each
-    field is set once, when the record is made: a class built by the
-    thousand through its slot descriptors' setters (``Abs.body.__set__``),
-    which cost less than a loop over the fields, and any other through
-    this ``__init__``."""
+    field is set once, when the record is made.  A class built by the
+    thousand keeps its fields in the slots of a private field class, which
+    takes plain slot stores: its builder (see ``_abs``) fills an object of
+    that class and then seals it by giving it the record's class.  Any
+    other class is filled through this ``__init__``."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -73,12 +74,30 @@ class _Record:
         return _hash(self)
 
 
-class Var(_Record):
+# A term class adds no slot of its own: its fields are the slots of a
+# private field class, whose objects take plain stores (see the builders).
+class _VarFields:
+    __slots__ = ("atom", "_free")
+
+
+class _AbsFields:
+    __slots__ = ("binder", "body", "_free", "_atoms")
+
+
+class _AppFields:
+    __slots__ = ("fun", "arg", "_free", "_atoms")
+
+
+class _ESubFields:
+    __slots__ = ("body", "binder", "arg", "_free", "_atoms")
+
+
+class Var(_VarFields, _Record):
     """A variable occurrence.  There is one leaf per atom: ``Var(a)``
     returns ``a``'s leaf, built the first time it is asked for, so
     ``Var(a) is Var(a)``, as ``Atom(...)`` returns the one atom."""
 
-    __slots__ = ("atom", "_free")
+    __slots__ = ()
     __match_args__ = ("atom",)
     atom: Atom
 
@@ -91,8 +110,8 @@ class Var(_Record):
     __init__ = object.__init__
 
 
-class Abs(_Record):
-    __slots__ = ("binder", "body", "_free", "_atoms")
+class Abs(_AbsFields, _Record):
+    __slots__ = ()
     __match_args__ = ("binder", "body")
     binder: Atom
     body: "Term"
@@ -107,8 +126,8 @@ class Abs(_Record):
     __init__ = object.__init__
 
 
-class App(_Record):
-    __slots__ = ("fun", "arg", "_free", "_atoms")
+class App(_AppFields, _Record):
+    __slots__ = ()
     __match_args__ = ("fun", "arg")
     fun: "Term"
     arg: "Term"
@@ -123,14 +142,14 @@ class App(_Record):
     __init__ = object.__init__
 
 
-class ESub(_Record):
+class ESub(_ESubFields, _Record):
     """``[binder := arg] body``: an object-level substitution constructor.
 
     It carries no evaluation rules here; it only binds ``binder`` in
     ``body`` (the argument is outside the binder's scope).
     """
 
-    __slots__ = ("body", "binder", "arg", "_free", "_atoms")
+    __slots__ = ()
     __match_args__ = ("body", "binder", "arg")
     body: "Term"
     binder: Atom
@@ -155,15 +174,6 @@ class ESub(_Record):
 Var._atoms = Var._free
 _TERMS = frozenset((Var, Abs, App, ESub))
 _new = object.__new__
-_set_atom, _set_var_free = Var.atom.__set__, Var._free.__set__
-_set_abs_binder, _set_abs_body = Abs.binder.__set__, Abs.body.__set__
-_set_abs_free, _set_abs_atoms = Abs._free.__set__, Abs._atoms.__set__
-_set_fun, _set_app_arg = App.fun.__set__, App.arg.__set__
-_set_app_free, _set_app_atoms = App._free.__set__, App._atoms.__set__
-_set_esub_body, _set_esub_binder, _set_esub_arg = (
-    ESub.body.__set__, ESub.binder.__set__, ESub.arg.__set__
-)
-_set_esub_free, _set_esub_atoms = ESub._free.__set__, ESub._atoms.__set__
 
 Term = Union[Var, Abs, App, ESub]
 
@@ -171,36 +181,42 @@ Term = Union[Var, Abs, App, ESub]
 # The builders store a node whose children are known to be an atom and
 # terms: the public constructors call them once their checks pass, and the
 # walks that recombine parts of terms they already hold call them directly.
-# Each field is stored once, through its slot descriptor's setter, since
-# ``_Record.__setattr__`` refuses plain stores.
+# ``_Record.__setattr__`` refuses every store, and a store through a slot
+# descriptor's setter (``Abs.body.__set__``) is a call, so a builder makes
+# an object of the node's field class, fills it with plain slot stores,
+# and seals it by giving it the node's class, which has the same layout.
+# No node leaves a builder unsealed.
 
 def _abs(binder: Atom, body: Term) -> Abs:
     bit = binder._bit
-    node = _new(Abs)
-    _set_abs_binder(node, binder)
-    _set_abs_body(node, body)
-    _set_abs_free(node, (body._free | bit) ^ bit)
-    _set_abs_atoms(node, body._atoms | bit)
+    node = _new(_AbsFields)
+    node.binder = binder
+    node.body = body
+    node._free = (body._free | bit) ^ bit
+    node._atoms = body._atoms | bit
+    node.__class__ = Abs
     return node
 
 
 def _app(fun: Term, arg: Term) -> App:
-    node = _new(App)
-    _set_fun(node, fun)
-    _set_app_arg(node, arg)
-    _set_app_free(node, fun._free | arg._free)
-    _set_app_atoms(node, fun._atoms | arg._atoms)
+    node = _new(_AppFields)
+    node.fun = fun
+    node.arg = arg
+    node._free = fun._free | arg._free
+    node._atoms = fun._atoms | arg._atoms
+    node.__class__ = App
     return node
 
 
 def _esub(body: Term, binder: Atom, arg: Term) -> ESub:
     bit = binder._bit
-    node = _new(ESub)
-    _set_esub_body(node, body)
-    _set_esub_binder(node, binder)
-    _set_esub_arg(node, arg)
-    _set_esub_free(node, (body._free | bit) ^ bit | arg._free)
-    _set_esub_atoms(node, body._atoms | bit | arg._atoms)
+    node = _new(_ESubFields)
+    node.body = body
+    node.binder = binder
+    node.arg = arg
+    node._free = (body._free | bit) ^ bit | arg._free
+    node._atoms = body._atoms | bit | arg._atoms
+    node.__class__ = ESub
     return node
 
 
@@ -211,9 +227,10 @@ class _Leaves(dict):
     __slots__ = ()
 
     def __missing__(self, atom: Atom) -> Var:
-        leaf = _new(Var)
-        _set_atom(leaf, atom)
-        _set_var_free(leaf, atom._bit)
+        leaf = _new(_VarFields)
+        leaf.atom = atom
+        leaf._free = atom._bit
+        leaf.__class__ = Var
         # a leaf that loses a race for its atom here is dropped
         return self.setdefault(atom, leaf)
 

@@ -8,10 +8,16 @@ from nes import (
     Abs,
     App,
     Atom,
+    BVar,
+    CApp,
+    CLam,
+    CSub,
     ESub,
+    FVar,
     GenConfig,
     Var,
     all_atoms,
+    canonicalize,
     enumerate_terms,
     fv_nom,
     gen_term,
@@ -23,7 +29,7 @@ from nes import (
     vswap,
 )
 from nes.atoms import atoms_of
-from nes.term import free_in, permute
+from nes.term import _TERMS, free_in, permute
 from strategies import POOL, _free_by_scope_walk, atoms, terms
 
 x, y, z, w = Atom("x"), Atom("y"), Atom("z"), Atom("w")
@@ -393,6 +399,34 @@ def test_walks_build_what_the_public_constructors_build():
     for t in built:
         twin = _rebuilt(t)
         assert t == twin and _masks(t) == _masks(twin), t
+
+
+PUBLIC = _TERMS | {BVar, FVar, CLam, CApp, CSub}
+
+
+def test_nodes_built_by_walks_are_sealed():
+    # Every node a walk returns has exactly a public class, so a builder
+    # that left a node in its field class fails here, and every such node
+    # refuses assignment and deletion like one the constructors built.
+    u = App(Var(z), Abs(x, Var(y)))
+    config = GenConfig(max_size=4, atom_pool=(x, y))
+    universe = enumerate_terms(4, (x, y))
+    built = [gen_term(config, i) for i in range(200)] + universe
+    for t in universe:
+        built += [
+            swap(x, y, t), permute({x: z, z: y, y: x}, t), msubst(t, u, x),
+            msubst(t, Var(x), y), parse(render(t)).term, canonicalize(t),
+        ]
+    while built:
+        node = built.pop()
+        assert type(node) in PUBLIC, type(node)
+        for field in node.__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(node, field, None)
+            with pytest.raises(AttributeError):
+                delattr(node, field)
+        values = [getattr(node, field) for field in node.__match_args__]
+        built += [v for v in values if type(v) not in (Atom, int)]
 
 
 def test_copies_are_equal_and_fields_are_read_only():
