@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from typing import Union
 
-from .atoms import Atom
-from .term import Abs, App, ESub, Term, Var, _new, _Record, _term, free_in
+from .atoms import Atom, _atom
+from .term import Abs, App, ESub, Term, Var, _new, _Record, _term
 
 
 # Like the term classes, each nameless class keeps its fields in the slots
@@ -44,8 +44,6 @@ class BVar(_BVarFields, _Record):
             raise ValueError(f"negative index: {index!r}")
         return _bvar(index)
 
-    __init__ = object.__init__
-
 
 class FVar(_FVarFields, _Record):
     __slots__ = ()
@@ -53,11 +51,7 @@ class FVar(_FVarFields, _Record):
     atom: Atom
 
     def __new__(cls, atom: Atom) -> FVar:
-        if type(atom) is not Atom:
-            raise TypeError(f"not an atom: {atom!r}")
-        return _fvar(atom)
-
-    __init__ = object.__init__
+        return _fvar(_atom(atom))
 
 
 class CLam(_CLamFields, _Record):
@@ -68,8 +62,6 @@ class CLam(_CLamFields, _Record):
     def __new__(cls, body: "CanonicalTerm") -> CLam:
         return _clam(_canonical(body))
 
-    __init__ = object.__init__
-
 
 class CApp(_CAppFields, _Record):
     __slots__ = ()
@@ -79,8 +71,6 @@ class CApp(_CAppFields, _Record):
 
     def __new__(cls, fun: "CanonicalTerm", arg: "CanonicalTerm") -> CApp:
         return _capp(_canonical(fun), _canonical(arg))
-
-    __init__ = object.__init__
 
 
 class CSub(_CSubFields, _Record):
@@ -94,8 +84,6 @@ class CSub(_CSubFields, _Record):
 
     def __new__(cls, body: "CanonicalTerm", arg: "CanonicalTerm") -> CSub:
         return _csub(_canonical(body), _canonical(arg))
-
-    __init__ = object.__init__
 
 
 # Unchecked builders, sealed like the term builders in ``nes.term``.
@@ -156,7 +144,7 @@ def canonicalize(t: Term) -> CanonicalTerm:
     Free atoms are kept by name, so two terms are alpha-equivalent exactly
     when their canonical forms are structurally equal.
     """
-    return _canon(t, [])
+    return _canon(_term(t), [])
 
 
 # ``bound`` lists the binders above ``t``, innermost last
@@ -180,7 +168,6 @@ def _canon(t: Term, bound: list[Atom]) -> CanonicalTerm:
             cbody = _canon(body, bound)
             bound.pop()
             return _csub(cbody, carg)
-    raise TypeError(f"not a term: {t!r}")
 
 
 def aeq(t1: Term, t2: Term) -> bool:
@@ -224,7 +211,7 @@ def _aeq(t1: Term, t2: Term, pi: dict[Atom, Atom], inv: dict[Atom, Atom]) -> boo
     y = pi.get(b, b) if pi else b  # the binder of pi . t2
     if x is not y:
         ix = inv.get(x, x)
-        if free_in(ix, t2.body):
+        if t2.body._free & ix._bit:
             return False
         # the bodies compare under (y x) . pi
         pi, inv = {**pi, b: x, ix: y}, {**inv, x: b, y: ix}
@@ -234,7 +221,7 @@ def _aeq(t1: Term, t2: Term, pi: dict[Atom, Atom], inv: dict[Atom, Atom]) -> boo
 def render_canonical(c: CanonicalTerm) -> str:
     """Concrete syntax for a nameless term: bound indices print as ``#k``,
     binders as ``\\.`` and ``[:= arg]``."""
-    return _render(c, 0)
+    return _render(_canonical(c), 0)
 
 
 def _render(c: CanonicalTerm, ctx: int) -> str:
@@ -252,4 +239,3 @@ def _render(c: CanonicalTerm, ctx: int) -> str:
         case CSub(body, arg):
             s = f"[:= {_render(arg, 0)}] {_render(body, 0)}"
             return f"({s})" if ctx >= 1 else s
-    raise TypeError(f"not a canonical term: {c!r}")

@@ -74,6 +74,13 @@ class Atom:
         return f"Atom({str(self)!r})"
 
 
+def _atom(a: object) -> Atom:
+    # ``a`` itself, once it is known to be an atom
+    if type(a) is not Atom:
+        raise TypeError(f"not an atom: {a!r}")
+    return a
+
+
 def _is_base(text: str) -> bool:
     """Whether ``text`` is an ASCII identifier that does not end in a digit,
     so that the display form "base + decimal index" decodes one way.
@@ -114,13 +121,9 @@ def fresh(avoid: int | Iterable[Atom], hint: Atom) -> Atom:
     if type(avoid) is not int:
         mask = 0
         for a in avoid:
-            if type(a) is not Atom:
-                raise TypeError(f"not an atom: {a!r}")
-            mask |= a._bit
+            mask |= _atom(a)._bit
         avoid = mask
-    if type(hint) is not Atom:
-        raise TypeError(f"not an atom: {hint!r}")
-    if not avoid & hint._bit:
+    if not avoid & _atom(hint)._bit:
         return hint
     for i in count():
         candidate = _INTERNED.get((hint.base, i))

@@ -18,7 +18,7 @@ from .alpha import aeq, canonicalize, render_canonical
 from .atoms import Atom, parse_atom
 from .msubst import msubst
 from .parser import ParseError, eval_meta, parse
-from .properties import PROPERTY_NAMES, GenConfig, run_property
+from .properties import PROPERTY_NAMES, GenConfig, UnknownPropertyError, run_property
 from .term import Term, fv_nom, render, swap
 
 
@@ -69,11 +69,9 @@ def _cmd_check(lemma: tuple[str, ...] = (), pool: str | None = None,
     if format not in ("text", "tsv"):
         raise _UsageError(f"--format takes text or tsv, not {format!r}")
     names = lemma or PROPERTY_NAMES
-    unknown = [n for n in names if n not in PROPERTY_NAMES]
-    if unknown:
-        raise _UsageError(
-            f"unknown lemma {unknown[0]!r}; valid names: {', '.join(PROPERTY_NAMES)}"
-        )
+    for name in names:
+        if name not in PROPERTY_NAMES:
+            raise _UsageError(UnknownPropertyError(name))
     if pool is not None:
         fields["atom_pool"] = tuple(parse_atom(part.strip()) for part in pool.split(","))
     config = GenConfig(**fields)

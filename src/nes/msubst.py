@@ -28,16 +28,14 @@ whose rebuilt children are the very objects it holds comes back itself.
 
 from __future__ import annotations
 
-from .atoms import Atom, fresh
+from .atoms import Atom, _atom, fresh
 from .term import (
-    _LEAVES, Abs, App, ESub, Term, Var, _abs, _app, _esub, _term, free_in,
-    permute,
+    _LEAVES, Abs, App, ESub, Term, Var, _abs, _app, _esub, _permute, _term,
 )
 
 
 def msubst(t: Term, u: Term, x: Atom) -> Term:
-    if type(x) is not Atom:
-        raise TypeError(f"not an atom: {x!r}")
+    _atom(x)
     # a constructor takes only terms as children, so only the roots are checked
     return _msubst(_term(t), _term(u), x, {}, {})
 
@@ -60,7 +58,7 @@ def _msubst(t: Term, u: Term, x: Atom,
     # y is not free in pi . t, so unless it is x it is taken only if it is
     # free in u or, for an ESub, in pi . arg (that is, b free in arg)
     z = y
-    if y is not x and (u._free & y._bit or tp is ESub and free_in(b, t.arg)):
+    if y is not x and (u._free & y._bit or tp is ESub and t.arg._free & b._bit):
         z = fresh(_image(t._free, pi) | u._free | x._bit, y)
     # the argument sits outside the binder, under the renamings above t
     arg = _msubst(t.arg, u, x, pi, inv) if tp is ESub else None
@@ -68,7 +66,12 @@ def _msubst(t: Term, u: Term, x: Atom,
         # the body is swap y z (pi . body) = ((y z) . pi) . body
         iz = inv.get(z, z)
         pi, inv = {**pi, b: z, iz: y}, {**inv, z: b, y: iz}
-    body = permute(pi, t.body) if y is x else _msubst(t.body, u, x, pi, inv)
+    if y is x:
+        # x is bound in the body, which is only permuted; pi's keys are
+        # distinct atoms, so the sum of the moved ones' bits is their mask
+        body = _permute(t.body, pi, sum(a._bit for a, c in pi.items() if a is not c))
+    else:
+        body = _msubst(t.body, u, x, pi, inv)
     if z is b and body is t.body and (tp is Abs or arg is t.arg):
         return t
     return _abs(z, body) if tp is Abs else _esub(body, z, arg)

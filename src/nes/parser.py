@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from typing import Union
 
-from .atoms import Atom, parse_atom
+from .atoms import Atom, _atom, parse_atom
 from .msubst import msubst
-from .term import _LEAVES, Term, _abs, _app, _esub, _Record, _term
+from .term import _LEAVES, Term, _abs, _app, _esub, _fill, _Record, _term
 
 
 class ParseError(Exception):
@@ -53,7 +53,7 @@ class Lit(_Record):
     term: Term
 
     def __init__(self, term: Term) -> None:
-        super().__init__(_term(term))
+        _fill(self, _term(term))
 
 
 class Meta(_Record):
@@ -68,9 +68,7 @@ class Meta(_Record):
         for e in (target, arg):
             if type(e) not in (Lit, Meta):
                 raise TypeError(f"not a meta expression: {e!r}")
-        if type(var) is not Atom:
-            raise TypeError(f"not an atom: {var!r}")
-        super().__init__(target, var, arg)
+        _fill(self, target, _atom(var), arg)
 
 
 MetaExpr = Union[Lit, Meta]

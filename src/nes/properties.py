@@ -25,6 +25,7 @@ from .term import (
     _abs,
     _app,
     _esub,
+    _fill,
     free_in,
     fv_nom,
     permute,
@@ -166,7 +167,7 @@ class GenConfig(_Record):
             raise ValueError("seed must fit in 64 unsigned bits")
         if cases < 1:
             raise ValueError("cases must be at least 1")
-        super().__init__(max_size, atom_pool, seed, cases)
+        _fill(self, max_size, atom_pool, seed, cases)
         object.__setattr__(self, "_terms", {})
 
     def replace(self, **changes: object) -> GenConfig:
@@ -190,7 +191,7 @@ class PropertyReport(_Record):
 
     def __init__(self, name: str, cases_run: int, failures: int, seed: int,
                  counterexample: tuple[tuple[str, str], ...] | None = None) -> None:
-        super().__init__(name, cases_run, failures, seed, counterexample)
+        _fill(self, name, cases_run, failures, seed, counterexample)
 
     def lines(self, format: str = "tsv") -> list[str]:
         """The report as ``tsv`` or ``text`` lines: the law's name, cases
@@ -218,7 +219,7 @@ class UnknownPropertyError(ValueError):
     def __init__(self, name: str):
         self.name = name
         super().__init__(
-            f"unknown property {name!r}; valid names: {', '.join(PROPERTY_NAMES)}"
+            f"unknown lemma {name!r}; valid names: {', '.join(PROPERTY_NAMES)}"
         )
 
 
@@ -445,7 +446,7 @@ class _Prop(_Record):
 
     def __init__(self, draw: Callable[[_Draw], dict], body: Callable[..., bool],
                  pre: Callable[..., bool] | None = None) -> None:
-        super().__init__(draw, body, pre)
+        _fill(self, draw, body, pre)
 
 
 # Each law's ``draw`` takes one case's inputs from a ``_Draw``.  Terms and

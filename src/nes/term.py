@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .atoms import Atom, atoms_of
+from .atoms import Atom, _atom, atoms_of
 
 
 class _Record:
@@ -24,14 +24,12 @@ class _Record:
     thousand keeps its fields in the slots of a private field class, which
     takes plain slot stores: its builder (see ``_abs``) fills an object of
     that class and then seals it by giving it the record's class.  Any
-    other class is filled through this ``__init__``."""
+    other class fills its fields in its ``__init__``, through ``_fill``.
+    A class that makes its records in ``__new__`` defines no ``__init__``,
+    so the inherited ``object.__init__`` ignores the arguments."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
-
-    def __init__(self, *values: object) -> None:
-        for name, value in zip(self.__match_args__, values):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -102,12 +100,7 @@ class Var(_VarFields, _Record):
     atom: Atom
 
     def __new__(cls, atom: Atom) -> Var:
-        if type(atom) is not Atom:
-            raise TypeError(f"not an atom: {atom!r}")
-        return _LEAVES[atom]
-
-    # ``__new__`` returns a finished node, which is never initialised again
-    __init__ = object.__init__
+        return _LEAVES[_atom(atom)]
 
 
 class Abs(_AbsFields, _Record):
@@ -117,13 +110,7 @@ class Abs(_AbsFields, _Record):
     body: "Term"
 
     def __new__(cls, binder: Atom, body: "Term") -> Abs:
-        if type(binder) is not Atom:
-            raise TypeError(f"not an atom: {binder!r}")
-        if type(body) not in _TERMS:
-            raise TypeError(f"not a term: {body!r}")
-        return _abs(binder, body)
-
-    __init__ = object.__init__
+        return _abs(_atom(binder), _term(body))
 
 
 class App(_AppFields, _Record):
@@ -133,13 +120,7 @@ class App(_AppFields, _Record):
     arg: "Term"
 
     def __new__(cls, fun: "Term", arg: "Term") -> App:
-        if type(fun) not in _TERMS:
-            raise TypeError(f"not a term: {fun!r}")
-        if type(arg) not in _TERMS:
-            raise TypeError(f"not a term: {arg!r}")
-        return _app(fun, arg)
-
-    __init__ = object.__init__
+        return _app(_term(fun), _term(arg))
 
 
 class ESub(_ESubFields, _Record):
@@ -156,15 +137,7 @@ class ESub(_ESubFields, _Record):
     arg: "Term"
 
     def __new__(cls, body: "Term", binder: Atom, arg: "Term") -> ESub:
-        if type(body) not in _TERMS:
-            raise TypeError(f"not a term: {body!r}")
-        if type(binder) is not Atom:
-            raise TypeError(f"not an atom: {binder!r}")
-        if type(arg) not in _TERMS:
-            raise TypeError(f"not a term: {arg!r}")
-        return _esub(body, binder, arg)
-
-    __init__ = object.__init__
+        return _esub(_term(body), _atom(binder), _term(arg))
 
 
 # Every node keeps two atom masks (see ``nes.atoms``), filled by its
@@ -176,6 +149,13 @@ _TERMS = frozenset((Var, Abs, App, ESub))
 _new = object.__new__
 
 Term = Union[Var, Abs, App, ESub]
+
+
+def _term(t: object) -> Term:
+    # ``t`` itself, once it is known to be a term
+    if type(t) not in _TERMS:
+        raise TypeError(f"not a term: {t!r}")
+    return t
 
 
 # The builders store a node whose children are known to be an atom and
@@ -238,6 +218,12 @@ class _Leaves(dict):
 _LEAVES = _Leaves()
 
 
+def _fill(record: _Record, *values: object) -> None:
+    """Set ``record``'s fields, in ``__match_args__`` order, to ``values``."""
+    for name, value in zip(record.__match_args__, values):
+        object.__setattr__(record, name, value)
+
+
 def _equal(s: _Record, t: _Record) -> bool:
     # record pairs still to compare field by field: shared values are equal
     # at once, record pairs are pushed, and other values compare by ``!=``
@@ -276,7 +262,7 @@ def _hash(t: _Record) -> int:
 def size(t: Term) -> int:
     """Node count; always at least 1."""
     n = 0
-    stack = [t]
+    stack = [_term(t)]
     while stack:
         node = stack.pop()
         n += 1
@@ -289,16 +275,7 @@ def size(t: Term) -> int:
         elif tp is ESub:
             stack.append(node.body)
             stack.append(node.arg)
-        elif tp is not Var:
-            raise TypeError(f"not a term: {node!r}")
     return n
-
-
-def _term(t: object) -> Term:
-    # ``t`` itself, once it is known to be a term
-    if type(t) not in _TERMS:
-        raise TypeError(f"not a term: {t!r}")
-    return t
 
 
 def fv_nom(t: Term) -> frozenset[Atom]:
@@ -317,18 +294,13 @@ def all_atoms(t: Term) -> frozenset[Atom]:
 def free_in(a: Atom, t: Term) -> bool:
     """Whether ``a`` is free in ``t``: ``a in fv_nom(t)``, read as one bit
     of the free-atom mask ``t``'s node keeps."""
-    try:
-        return t._free & a._bit != 0
-    except (AttributeError, TypeError):  # a non-term has no int mask
-        _term(t)
-        raise TypeError(f"not an atom: {a!r}") from None
+    return _term(t)._free & _atom(a)._bit != 0
 
 
 def vswap(x: Atom, y: Atom, z: Atom) -> Atom:
     """Exchange x and y: returns y if z is x, x if z is y, else z itself."""
     for a in (x, y, z):
-        if type(a) is not Atom:
-            raise TypeError(f"not an atom: {a!r}")
+        _atom(a)
     if z is x:
         return y
     if z is y:
@@ -344,9 +316,7 @@ def permute(pi: dict[Atom, Atom], t: Term) -> Term:
     same object without being entered; every other subterm changes."""
     moved = 0
     for a, b in pi.items():
-        if type(a) is not Atom or type(b) is not Atom:
-            raise TypeError(f"not an atom: {b if type(a) is Atom else a!r}")
-        if a is not b:
+        if _atom(a) is not _atom(b):
             moved |= a._bit
     return _permute(_term(t), pi, moved)
 
@@ -369,7 +339,8 @@ def _permute(t: Term, pi: dict[Atom, Atom], moved: int) -> Term:
 def swap(x: Atom, y: Atom, t: Term) -> Term:
     """Exchange x and y at every atom position of ``t``, binders included:
     ``permute`` by one transposition, so ``t`` itself when x is y."""
-    return permute({x: y, y: x}, t)
+    moved = _atom(x)._bit ^ _atom(y)._bit
+    return _permute(_term(t), {x: y, y: x}, moved)
 
 
 def render(t: Term) -> str:
@@ -380,7 +351,7 @@ def render(t: Term) -> str:
     grammar requires them (binder forms used as applicands, applications
     used as arguments).
     """
-    return _render(t, 0)
+    return _render(_term(t), 0)
 
 
 # Context: 0 = unconstrained (bodies, bracket interiors, top level),
@@ -398,4 +369,3 @@ def _render(t: Term, ctx: int) -> str:
         case ESub(body, x, arg):
             s = f"[{x} := {_render(arg, 0)}] {_render(body, 0)}"
             return f"({s})" if ctx >= 1 else s
-    raise TypeError(f"not a term: {t!r}")

@@ -352,3 +352,36 @@ def test_a_wrong_argument_raises_type_or_value_error(name):
             except (TypeError, ValueError):
                 continue
             pytest.fail(f"{name} returned {got!r} for {value!r} at position {i}")
+
+
+# A call with several wrong arguments names one of them; these pin which.
+FIRST_NAMED = [
+    (lambda: nes.Abs(5, None), "not an atom: 5"),
+    (lambda: nes.ESub(None, 5, None), "not a term: None"),
+    (lambda: nes.ESub(Var(x), 5, None), "not an atom: 5"),
+    (lambda: nes.App(None, 5), "not a term: None"),
+    (lambda: nes.msubst(None, None, 5), "not an atom: 5"),
+    (lambda: nes.msubst(None, 5, x), "not a term: None"),
+    (lambda: nes.swap(5, None, None), "not an atom: 5"),
+    (lambda: nes.swap(x, None, None), "not an atom: None"),
+    (lambda: nes.term.permute({x: 5}, None), "not an atom: 5"),
+    (lambda: nes.fresh([None], 5), "not an atom: None"),
+    (lambda: nes.term.free_in(None, None), "not a term: None"),
+    (lambda: nes.term.free_in(5, Var(x)), "not an atom: 5"),
+    (lambda: nes.vswap(None, 5, x), "not an atom: None"),
+    (lambda: Meta(5, "x", 6), "not a meta expression: 5"),
+    (lambda: Meta(Lit(Var(x)), "x", Lit(Var(x))), "not an atom: 'x'"),
+    (lambda: nes.size(5), "not a term: 5"),
+    (lambda: nes.render(5), "not a term: 5"),
+    (lambda: nes.canonicalize(5), "not a term: 5"),
+    (lambda: nes.canonicalize(Lit(Var(x))),
+     "not a term: Lit(term=Var(atom=Atom('x')))"),
+    (lambda: nes.render_canonical(5), "not a canonical term: 5"),
+]
+
+
+@pytest.mark.parametrize("make, message", FIRST_NAMED)
+def test_a_call_with_several_wrong_arguments_names_the_same_one(make, message):
+    with pytest.raises(TypeError) as info:
+        make()
+    assert str(info.value) == message
