@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Union
 
 from .atoms import Atom, _atom
-from .term import Abs, App, ESub, Term, Var, _new, _Record, _term
+from .term import Abs, App, ESub, Term, Var, _layout, _new, _Record, _term
 
 
 # Like the term classes, each nameless class keeps its fields in the slots
@@ -221,21 +221,21 @@ def _aeq(t1: Term, t2: Term, pi: dict[Atom, Atom], inv: dict[Atom, Atom]) -> boo
 def render_canonical(c: CanonicalTerm) -> str:
     """Concrete syntax for a nameless term: bound indices print as ``#k``,
     binders as ``\\.`` and ``[:= arg]``."""
-    return _render(_canonical(c), 0)
+    return _layout(_canonical(c), _pieces)
 
 
-def _render(c: CanonicalTerm, ctx: int) -> str:
-    match c:
-        case BVar(k):
-            return f"#{k}"
-        case FVar(a):
-            return str(a)
-        case CApp(fun, arg):
-            s = f"{_render(fun, 1)} {_render(arg, 2)}"
-            return f"({s})" if ctx == 2 else s
-        case CLam(body):
-            s = f"\\. {_render(body, 0)}"
-            return f"({s})" if ctx >= 1 else s
-        case CSub(body, arg):
-            s = f"[:= {_render(arg, 0)}] {_render(body, 0)}"
-            return f"({s})" if ctx >= 1 else s
+# contexts as in ``nes.term._pieces``
+def _pieces(c: CanonicalTerm, ctx: int) -> str | list:
+    tp = type(c)
+    if tp is BVar:
+        return f"#{c.index}"
+    if tp is FVar:
+        return str(c.atom)
+    if tp is CApp:
+        s = [(c.fun, 1), " ", (c.arg, 2)]
+        return ["(", *s, ")"] if ctx == 2 else s
+    if tp is CLam:
+        s = ["\\. ", (c.body, 0)]
+    else:
+        s = ["[:= ", (c.arg, 0), "] ", (c.body, 0)]
+    return ["(", *s, ")"] if ctx >= 1 else s

@@ -117,86 +117,75 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self._text = text
-        self._tokens = _tokenize(text)
-        self._pos = 0
-
-    def peek(self) -> _Token:
-        return self._tokens[self._pos]
-
-    def take(self) -> _Token:
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok[0] != kind:
-            what = {"name": "name", "end": "end of input"}.get(kind, f"'{kind}'")
-            raise _unexpected(self._text, tok, (what,))
-        return self.take()
-
-    def name(self) -> Atom:
-        tok = self.expect("name")
-        try:
-            return parse_atom(tok[1])
-        except ValueError:  # an index with a leading zero
-            expected = ("name without a leading zero in its index",)
-            raise _unexpected(self._text, tok, expected) from None
-
-    def meta(self) -> MetaExpr:
-        if self.peek()[0] == "{":
-            self.take()
-            var = self.name()
-            self.expect(":=")
-            arg = self.meta()
-            self.expect("}")
-            return Meta(self.meta(), var, arg)
-        return Lit(self.expr(extra=("'{'",)))
-
-    def expr(self, extra: tuple[str, ...] = ()) -> Term:
-        kind = self.peek()[0]
-        if kind == "\\":
-            self.take()
-            binder = self.name()
-            self.expect(".")
-            return _abs(binder, self.expr())
-        if kind == "[":
-            self.take()
-            binder = self.name()
-            self.expect(":=")
-            arg = self.expr()
-            self.expect("]")
-            return _esub(self.expr(), binder, arg)
-        if kind in ("name", "("):
-            return self.app()
-        expected = ("name", "'('", "'\\'", "'['") + extra
-        raise _unexpected(self._text, self.peek(), expected)
-
-    def app(self) -> Term:
-        t = self.atom()
-        while self.peek()[0] in ("name", "("):
-            t = _app(t, self.atom())
-        return t
-
-    def atom(self) -> Term:
-        if self.peek()[0] == "name":
-            return _LEAVES[self.name()]
-        self.take()
-        t = self.expr()
-        self.expect(")")
-        return t
+def _name(text: str, tok: _Token) -> Atom:
+    if tok[0] != "name":
+        raise _unexpected(text, tok, ("name",))
+    try:
+        return parse_atom(tok[1])
+    except ValueError:  # an index with a leading zero
+        expected = ("name without a leading zero in its index",)
+        raise _unexpected(text, tok, expected) from None
 
 
 def parse(text: str) -> MetaExpr:
     """Parse ``text``; raises :class:`ParseError` on bad input (including
     empty input and unbalanced brackets)."""
-    parser = _Parser(text)
-    out = parser.meta()
-    parser.expect("end")
-    return out
+    # One loop over the tokens, with a stack of open frames: the input's,
+    # and one per open '(', '[x :=' or '{x :='.  A frame is [the token kind
+    # that closes it, the binder forms to wrap round it as (kind, binder,
+    # arg), outermost first, its application so far or None, whether '{'
+    # may open there].  A binder form extends as far right as it can, so it
+    # only adds a wrap to the frame it starts in, and only the closer may
+    # follow a finished application.
+    tokens = _tokenize(text)
+    stack = [["end", [], None, True]]
+    i = 0
+    while True:
+        frame = stack[-1]
+        closer, wraps, app, meta_ok = frame
+        tok = tokens[i]
+        kind = tok[0]
+        i += 1
+        if kind == "name":
+            leaf = _LEAVES[_name(text, tok)]
+            frame[2] = leaf if app is None else _app(app, leaf)
+        elif kind == "(":
+            stack.append([")", [], None, False])
+        elif app is None:
+            if kind not in ("\\", "[") and not (kind == "{" and meta_ok):
+                extra = ("'{'",) if meta_ok else ()
+                raise _unexpected(text, tok, ("name", "'('", "'\\'", "'['") + extra)
+            binder = _name(text, tokens[i])
+            sep = "." if kind == "\\" else ":="
+            if tokens[i + 1][0] != sep:
+                raise _unexpected(text, tokens[i + 1], (f"'{sep}'",))
+            i += 2
+            wraps.append((kind, binder, None))
+            frame[3] = kind == "{"
+            if kind != "\\":
+                stack.append(["]" if kind == "[" else "}", [], None, kind == "{"])
+        elif kind != closer:
+            what = "end of input" if closer == "end" else f"'{closer}'"
+            raise _unexpected(text, tok, (what,))
+        else:
+            t = app
+            for k, x, u in reversed(wraps):
+                if k == "\\":
+                    t = _abs(x, t)
+                elif k == "[":
+                    t = _esub(t, x, u)
+                else:
+                    t = Meta(t if type(t) is Meta else Lit(t), x, u)
+            if closer in ("}", "end") and type(t) is not Meta:
+                t = Lit(t)
+            if closer == "end":
+                return t
+            stack.pop()
+            parent = stack[-1]
+            if closer == ")":
+                parent[2] = t if parent[2] is None else _app(parent[2], t)
+            else:  # the argument of the wrap that opened this frame
+                parent[1][-1] = parent[1][-1][:2] + (t,)
 
 
 def eval_meta(e: MetaExpr) -> Term:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Any, Callable, Union
 
 from .atoms import Atom, _atom, atoms_of
 
@@ -14,10 +14,10 @@ class _Record:
     Those fields drive ``match`` patterns, a ``repr`` that names them
     (``Var(atom=Atom('x'))``), copying and pickling (``__reduce__`` calls
     the class again with them), and structural ``==`` and ``hash`` among
-    records of one class.  ``==``, ``hash`` and ``repr`` walk an explicit
-    stack through nested records, so they work at any depth.  A slot
-    outside ``__match_args__``, such as a cache, takes no part in any of
-    this.
+    records of one class.  ``==``, ``hash`` and ``repr`` (through
+    ``_layout``) walk an explicit stack through nested records, so they
+    work at any depth.  A slot outside ``__match_args__``, such as a
+    cache, takes no part in any of this.
 
     Assigning or deleting an attribute raises ``AttributeError``, so each
     field is set once, when the record is made.  A class built by the
@@ -41,25 +41,7 @@ class _Record:
         return (type(self), tuple(getattr(self, f) for f in self.__match_args__))
 
     def __repr__(self) -> str:
-        # entries are text (a str) or a value still to print (in a
-        # one-element list), so no field value is ever taken for text
-        parts: list[str] = []
-        stack: list = [[self]]
-        while stack:
-            entry = stack.pop()
-            if type(entry) is str:
-                parts.append(entry)
-                continue
-            value = entry[0]
-            if not isinstance(value, _Record):
-                parts.append(repr(value))
-                continue
-            pieces: list = [f"{type(value).__qualname__}("]
-            for i, f in enumerate(value.__match_args__):
-                pieces += (f"{', ' if i else ''}{f}=", [getattr(value, f)])
-            pieces.append(")")
-            stack.extend(reversed(pieces))
-        return "".join(parts)
+        return _layout(self, _fields)
 
     def __eq__(self, other: object) -> bool:
         if other is self:
@@ -351,21 +333,47 @@ def render(t: Term) -> str:
     grammar requires them (binder forms used as applicands, applications
     used as arguments).
     """
-    return _render(_term(t), 0)
+    return _layout(_term(t), _pieces)
 
 
 # Context: 0 = unconstrained (bodies, bracket interiors, top level),
 # 1 = function position of an application, 2 = argument position.
-def _render(t: Term, ctx: int) -> str:
-    match t:
-        case Var(a):
-            return str(a)
-        case App(fun, arg):
-            s = f"{_render(fun, 1)} {_render(arg, 2)}"
-            return f"({s})" if ctx == 2 else s
-        case Abs(x, body):
-            s = f"\\{x}. {_render(body, 0)}"
-            return f"({s})" if ctx >= 1 else s
-        case ESub(body, x, arg):
-            s = f"[{x} := {_render(arg, 0)}] {_render(body, 0)}"
-            return f"({s})" if ctx >= 1 else s
+def _pieces(t: Term, ctx: int) -> str | list:
+    tp = type(t)
+    if tp is Var:
+        return str(t.atom)
+    if tp is App:
+        s = [(t.fun, 1), " ", (t.arg, 2)]
+        return ["(", *s, ")"] if ctx == 2 else s
+    if tp is Abs:
+        s = [f"\\{t.binder}. ", (t.body, 0)]
+    else:
+        s = [f"[{t.binder} := ", (t.arg, 0), "] ", (t.body, 0)]
+    return ["(", *s, ")"] if ctx >= 1 else s
+
+
+# The text of ``value``, from one explicit stack of entries: text, or a
+# ``(value, context)`` pair that ``pieces`` turns into its text or into the
+# entries it is made of, in order.  So no value is ever taken for text.
+def _layout(value: object, pieces: Callable[[Any, Any], str | list]) -> str:
+    out: list[str] = []
+    stack: list = [(value, 0)]
+    while stack:
+        entry = stack.pop()
+        if type(entry) is not str:
+            entry = pieces(*entry)
+            if type(entry) is not str:
+                stack.extend(reversed(entry))
+                continue
+        out.append(entry)
+    return "".join(out)
+
+
+def _fields(value: object, ctx: int) -> str | list:
+    # a record's class name and its fields by name (see ``_Record``)
+    if not isinstance(value, _Record):
+        return repr(value)
+    entries: list = [f"{type(value).__qualname__}("]
+    for i, f in enumerate(value.__match_args__):
+        entries += (f"{', ' if i else ''}{f}=", (getattr(value, f), 0))
+    return entries + [")"]

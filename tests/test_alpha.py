@@ -70,6 +70,15 @@ def test_render_canonical():
     assert render_canonical(canonicalize(t)) == "(\\. #0) y"
 
 
+def test_render_canonical_at_any_depth():
+    # built by hand, since canonicalize recurses; repr of such chains is
+    # checked in test_records.py
+    n, c = 10**5, BVar(0)
+    for _ in range(n):
+        c = CLam(CApp(c, FVar(x)))
+    assert render_canonical(c) == "\\. " + "(\\. " * (n - 1) + "#0 x" + ") x" * (n - 1)
+
+
 def test_oracle_agreement_exhaustive_small():
     pool = (x, y)
     universe = enumerate_terms(3, pool)

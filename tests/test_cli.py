@@ -86,11 +86,20 @@ def test_missing_file_is_status_2(capsys, tmp_path):
 
 
 def test_deep_term_is_status_2_without_traceback(capsys, tmp_path):
+    # canonicalize recurses, so a deep term is too deep for canon
     path = tmp_path / "deep.nes"
     path.write_text("\\x. " * 10_000 + "x\n", encoding="utf-8")
-    code, out, err = run(capsys, "parse", f"@{path}")
+    code, out, err = run(capsys, "canon", f"@{path}")
     assert (code, out) == (2, "")
     assert err == "term nested too deeply\n"
+
+
+def test_parse_and_fv_take_a_deep_term(capsys, tmp_path):
+    path = tmp_path / "deep.nes"
+    text = "\\x. " * 10**5 + "x y"
+    path.write_text(text + "\n", encoding="utf-8")
+    assert run(capsys, "parse", f"@{path}") == (0, text + "\n", "")
+    assert run(capsys, "fv", f"@{path}") == (0, "y\n", "")
 
 
 def test_bad_atom_argument_is_status_2(capsys):

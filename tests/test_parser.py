@@ -130,6 +130,35 @@ def test_parse_outcomes_are_pinned():
     )
 
 
+DEEP = 10**5
+
+# text nested DEEP levels, and its rendering where that is not the text
+NESTED = {
+    "parentheses": ("(" * DEEP + "x" + ")" * DEEP, "x"),
+    "abstraction": ("\\x. " * DEEP + "x", None),
+    "esub-body": ("[x := y] " * DEEP + "x", None),
+    "esub-argument": ("[x := " * DEEP + "y" + "] x" * DEEP, None),
+    "spine": ("x" + " y" * DEEP, None),
+    "argument-spine": ("x (" * DEEP + "y z" + ")" * DEEP, None),
+}
+
+
+@pytest.mark.parametrize("form", list(NESTED))
+def test_parse_and_render_at_any_depth(form):
+    text, rendering = NESTED[form]
+    assert render(parse(text).term) == (rendering or text)
+
+
+def test_deep_malformed_input_is_a_parse_error():
+    with pytest.raises(ParseError) as info:
+        parse("(" * DEEP)
+    assert (info.value.column, info.value.found) == (DEEP + 1, "end of input")
+    assert info.value.expected == ("name", "'('", "'\\'", "'['")
+    with pytest.raises(ParseError) as info:
+        parse("(" * DEEP + "x")
+    assert (info.value.column, info.value.expected) == (DEEP + 2, ("')'",))
+
+
 def test_eval_meta():
     assert eval_meta(Lit(Var(x))) == Var(x)
     assert eval_meta(Meta(Lit(Var(x)), x, Lit(Var(y)))) == Var(y)

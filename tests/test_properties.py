@@ -176,9 +176,8 @@ def test_drawn_terms_are_shallow_at_any_max_size():
     # Drawn terms grow in depth far more slowly than in size: at max size
     # 20 000 the deepest of the first 100 is 50 deep.  So nes check runs
     # under the default recursion limit (1 000) at any --max-size; the
-    # bound of 100 leaves room below parse, the deepest recursion a law
-    # reaches (parse_roundtrip), which takes about three frames per
-    # nesting level and fails at about 330 nested parentheses under that limit.
+    # bound of 100 leaves room below that limit for the recursive walks of
+    # swap, aeq, canonicalize and msubst.
     cfg = GenConfig(max_size=20_000, seed=0)
     assert max(_depth(gen_term(cfg, i)) for i in range(100)) <= 100
 
