@@ -9,32 +9,15 @@ from .atoms import Atom, _atom
 from .term import Abs, App, ESub, Term, Var, _layout, _new, _Record, _term
 
 
-# Like the term classes, each nameless class keeps its fields in the slots
-# of a private field class: its constructor checks them and calls its
-# builder, and ``_canon`` calls the builders directly.
-class _BVarFields:
-    __slots__ = ("index",)
+# A nameless class makes its records in ``__new__``: it checks its fields,
+# then stores them on a new object through ``object.__setattr__``, which
+# goes round ``_Record.__setattr__``.  ``_canon`` builds through these
+# constructors, so every nameless record is checked.
+_set = object.__setattr__
 
 
-class _FVarFields:
-    __slots__ = ("atom",)
-
-
-class _CLamFields:
-    __slots__ = ("body",)
-
-
-class _CAppFields:
-    __slots__ = ("fun", "arg")
-
-
-class _CSubFields:
-    __slots__ = ("body", "arg")
-
-
-class BVar(_BVarFields, _Record):
-    __slots__ = ()
-    __match_args__ = ("index",)
+class BVar(_Record):
+    __slots__ = __match_args__ = ("index",)
     index: int
 
     def __new__(cls, index: int) -> BVar:
@@ -42,87 +25,56 @@ class BVar(_BVarFields, _Record):
             raise TypeError(f"not an index: {index!r}")
         if index < 0:
             raise ValueError(f"negative index: {index!r}")
-        return _bvar(index)
+        node = _new(cls)
+        _set(node, "index", index)
+        return node
 
 
-class FVar(_FVarFields, _Record):
-    __slots__ = ()
-    __match_args__ = ("atom",)
+class FVar(_Record):
+    __slots__ = __match_args__ = ("atom",)
     atom: Atom
 
     def __new__(cls, atom: Atom) -> FVar:
-        return _fvar(_atom(atom))
+        node = _new(cls)
+        _set(node, "atom", _atom(atom))
+        return node
 
 
-class CLam(_CLamFields, _Record):
-    __slots__ = ()
-    __match_args__ = ("body",)
+class CLam(_Record):
+    __slots__ = __match_args__ = ("body",)
     body: "CanonicalTerm"
 
     def __new__(cls, body: "CanonicalTerm") -> CLam:
-        return _clam(_canonical(body))
+        node = _new(cls)
+        _set(node, "body", _canonical(body))
+        return node
 
 
-class CApp(_CAppFields, _Record):
-    __slots__ = ()
-    __match_args__ = ("fun", "arg")
+class CApp(_Record):
+    __slots__ = __match_args__ = ("fun", "arg")
     fun: "CanonicalTerm"
     arg: "CanonicalTerm"
 
     def __new__(cls, fun: "CanonicalTerm", arg: "CanonicalTerm") -> CApp:
-        return _capp(_canonical(fun), _canonical(arg))
+        node = _new(cls)
+        _set(node, "fun", _canonical(fun))
+        _set(node, "arg", _canonical(arg))
+        return node
 
 
-class CSub(_CSubFields, _Record):
+class CSub(_Record):
     """Nameless explicit substitution: ``body`` sits under one binder,
     ``arg`` does not."""
 
-    __slots__ = ()
-    __match_args__ = ("body", "arg")
+    __slots__ = __match_args__ = ("body", "arg")
     body: "CanonicalTerm"
     arg: "CanonicalTerm"
 
     def __new__(cls, body: "CanonicalTerm", arg: "CanonicalTerm") -> CSub:
-        return _csub(_canonical(body), _canonical(arg))
-
-
-# Unchecked builders, sealed like the term builders in ``nes.term``.
-
-def _bvar(index: int) -> BVar:
-    node = _new(_BVarFields)
-    node.index = index
-    node.__class__ = BVar
-    return node
-
-
-def _fvar(atom: Atom) -> FVar:
-    node = _new(_FVarFields)
-    node.atom = atom
-    node.__class__ = FVar
-    return node
-
-
-def _clam(body: CanonicalTerm) -> CLam:
-    node = _new(_CLamFields)
-    node.body = body
-    node.__class__ = CLam
-    return node
-
-
-def _capp(fun: CanonicalTerm, arg: CanonicalTerm) -> CApp:
-    node = _new(_CAppFields)
-    node.fun = fun
-    node.arg = arg
-    node.__class__ = CApp
-    return node
-
-
-def _csub(body: CanonicalTerm, arg: CanonicalTerm) -> CSub:
-    node = _new(_CSubFields)
-    node.body = body
-    node.arg = arg
-    node.__class__ = CSub
-    return node
+        node = _new(cls)
+        _set(node, "body", _canonical(body))
+        _set(node, "arg", _canonical(arg))
+        return node
 
 
 CanonicalTerm = Union[BVar, FVar, CLam, CApp, CSub]
@@ -149,25 +101,21 @@ def canonicalize(t: Term) -> CanonicalTerm:
 
 # ``bound`` lists the binders above ``t``, innermost last
 def _canon(t: Term, bound: list[Atom]) -> CanonicalTerm:
-    match t:
-        case Var(a):
-            for i in range(len(bound) - 1, -1, -1):
-                if bound[i] is a:
-                    return _bvar(len(bound) - 1 - i)
-            return _fvar(a)
-        case Abs(x, body):
-            bound.append(x)
-            out = _clam(_canon(body, bound))
-            bound.pop()
-            return out
-        case App(fun, arg):
-            return _capp(_canon(fun, bound), _canon(arg, bound))
-        case ESub(body, x, arg):
-            carg = _canon(arg, bound)
-            bound.append(x)
-            cbody = _canon(body, bound)
-            bound.pop()
-            return _csub(cbody, carg)
+    tp = type(t)
+    if tp is Var:
+        a = t.atom
+        for i in range(len(bound) - 1, -1, -1):
+            if bound[i] is a:
+                return BVar(len(bound) - 1 - i)
+        return FVar(a)
+    if tp is App:
+        return CApp(_canon(t.fun, bound), _canon(t.arg, bound))
+    # the argument of an ESub sits outside its binder
+    arg = _canon(t.arg, bound) if tp is ESub else None
+    bound.append(t.binder)
+    body = _canon(t.body, bound)
+    bound.pop()
+    return CLam(body) if tp is Abs else CSub(body, arg)
 
 
 def aeq(t1: Term, t2: Term) -> bool:

@@ -190,9 +190,22 @@ def parse(text: str) -> MetaExpr:
 
 def eval_meta(e: MetaExpr) -> Term:
     """Carry out the pending substitutions, innermost first."""
-    match e:
-        case Lit(t):
-            return t
-        case Meta(target, var, arg):
-            return msubst(eval_meta(target), eval_meta(arg), var)
-    raise TypeError(f"not a meta expression: {e!r}")
+    if type(e) not in (Lit, Meta):
+        raise TypeError(f"not a meta expression: {e!r}")
+    # A postorder fold from one stack; ``Meta`` checks its own operands.
+    # A ``Meta`` pushes its variable, as the marker that both its operands
+    # are done, under its argument and its target, so the target is
+    # evaluated first and then the argument: fresh names depend on it.
+    done: list[Term] = []
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        tp = type(node)
+        if tp is Lit:
+            done.append(node.term)
+        elif tp is Meta:
+            stack += (node.var, node.arg, node.target)
+        else:
+            arg = done.pop()
+            done.append(msubst(done.pop(), arg, node))
+    return done[0]

@@ -20,13 +20,15 @@ class _Record:
     cache, takes no part in any of this.
 
     Assigning or deleting an attribute raises ``AttributeError``, so each
-    field is set once, when the record is made.  A class built by the
-    thousand keeps its fields in the slots of a private field class, which
-    takes plain slot stores: its builder (see ``_abs``) fills an object of
-    that class and then seals it by giving it the record's class.  Any
-    other class fills its fields in its ``__init__``, through ``_fill``.
-    A class that makes its records in ``__new__`` defines no ``__init__``,
-    so the inherited ``object.__init__`` ignores the arguments."""
+    field is set once, when the record is made.  Only the four term
+    classes keep their fields in the slots of a private field class, which
+    takes plain slot stores: a term builder (see ``_abs``) fills an object
+    of that class and then seals it by giving it the term's class.  A
+    nameless class (``nes.alpha``) checks its fields in its ``__new__`` and
+    stores them on ``_new(cls)`` through ``object.__setattr__``; any other
+    class fills its fields in its ``__init__``, through ``_fill``.  A class
+    that makes its records in ``__new__`` defines no ``__init__``, so the
+    inherited ``object.__init__`` ignores the arguments."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()

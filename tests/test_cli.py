@@ -102,6 +102,12 @@ def test_parse_and_fv_take_a_deep_term(capsys, tmp_path):
     assert run(capsys, "fv", f"@{path}") == (0, "y\n", "")
 
 
+def test_parse_evaluates_deeply_nested_meta_nodes(capsys, tmp_path):
+    path = tmp_path / "deep.nes"
+    path.write_text("{x := y} " * 10**5 + "x\n", encoding="utf-8")
+    assert run(capsys, "parse", f"@{path}") == (0, "y\n", "")
+
+
 def test_bad_atom_argument_is_status_2(capsys):
     code, _, err = run(capsys, "swap", "not an atom", "y", "x")
     assert code == 2

@@ -173,6 +173,18 @@ def test_lit_rejects_non_terms(junk):
         eval_meta(Lit(junk))
 
 
+# {x := y} nested DEEP levels, in target and in argument position
+NESTED_META = {
+    "target": "{x := y} " * DEEP + "x",
+    "argument": "{x := " * DEEP + "y" + "} x" * DEEP,
+}
+
+
+@pytest.mark.parametrize("form", list(NESTED_META))
+def test_eval_meta_at_any_depth(form):
+    assert eval_meta(parse(NESTED_META[form])) is Var(y)
+
+
 def test_eval_meta_innermost_first():
     # {x := b} ({a := x} a) must substitute a first, then x
     got = eval_meta(parse("{x := b} {a := x} a"))

@@ -1,10 +1,13 @@
 """What the record classes promise: exact repr, field-wise == and hash
 that respect the class, read-only fields, copies, and match patterns; and
-what every public callable does with an argument of the wrong type."""
+what every public callable does with an argument of the wrong type; and
+that the library reads records without ``match`` statements."""
 
+import ast
 import copy
 import inspect
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -385,3 +388,26 @@ def test_a_call_with_several_wrong_arguments_names_the_same_one(make, message):
     with pytest.raises(TypeError) as info:
         make()
     assert str(info.value) == message
+
+
+# eval_meta checks its root; Meta checks every operand below it
+@pytest.mark.parametrize("junk", [x, Var(x)])
+def test_eval_meta_names_a_wrong_root(junk):
+    with pytest.raises(TypeError) as info:
+        nes.eval_meta(junk)
+    assert str(info.value) == f"not a meta expression: {junk!r}"
+
+
+def test_the_library_has_no_match_statement():
+    """The walks dispatch on ``type(t)``, never through ``match``.  With
+    class patterns, ``canonicalize`` took 1.6x as long on the 600 terms of
+    a seed-0 catalogue cycle (9.1 against 5.8 ms, same constructors), and
+    ``render``'s layout driver 1.7x as long on 4 000 random terms (57-61
+    against 32-33 ms); Python 3.11, best of 21 and of 15 runs."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(nes.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Match)
+    ]
+    assert found == []
