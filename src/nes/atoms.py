@@ -112,17 +112,19 @@ def parse_atom(text: str) -> Atom:
 
 
 def fresh(avoid: int | Iterable[Atom], hint: Atom) -> Atom:
-    """The first atom not in ``avoid``, an atom mask or an iterable of
-    atoms: the hint itself, then the hint's base with indices 0, 1, 2, ...
-    in order, which are unbounded, so some candidate is always free.  A
-    candidate never interned is in no mask and ends the search; only the
-    returned atom is built.  Total and deterministic.
+    """The first atom not in ``avoid``, an atom mask (a nonnegative int)
+    or an iterable of atoms: the hint itself, then the hint's base with
+    indices 0, 1, 2, ... in order, which are unbounded, so some candidate
+    is always free.  A candidate never interned is in no mask and ends the
+    search; only the returned atom is built.  Total and deterministic.
     """
     if type(avoid) is not int:
         mask = 0
         for a in avoid:
             mask |= _atom(a)._bit
         avoid = mask
+    elif avoid < 0:  # every atom's bit is set in a negative int
+        raise ValueError(f"negative atom mask: {avoid!r}")
     if not avoid & _atom(hint)._bit:
         return hint
     for i in count():

@@ -75,13 +75,12 @@ def _cmd_check(lemma: tuple[str, ...] = (), pool: str | None = None,
     if pool is not None:
         fields["atom_pool"] = tuple(parse_atom(part.strip()) for part in pool.split(","))
     config = GenConfig(**fields)
-    failed = False
+    failures = 0
     for name in names:
         report = run_property(name, config)
         print("\n".join(report.lines(format)))
-        if report.failures:
-            failed = True
-    return 1 if failed else 0
+        failures += report.failures
+    return 1 if failures else 0
 
 
 _USAGE = """\

@@ -65,13 +65,19 @@ class Meta(_Record):
     arg: "MetaExpr"
 
     def __init__(self, target: "MetaExpr", var: Atom, arg: "MetaExpr") -> None:
-        for e in (target, arg):
-            if type(e) not in (Lit, Meta):
-                raise TypeError(f"not a meta expression: {e!r}")
+        target, arg = _meta(target), _meta(arg)
         _fill(self, target, _atom(var), arg)
 
 
 MetaExpr = Union[Lit, Meta]
+
+
+def _meta(e: object) -> MetaExpr:
+    # ``e`` itself, once it is known to be a meta expression
+    if type(e) not in (Lit, Meta):
+        raise TypeError(f"not a meta expression: {e!r}")
+    return e
+
 
 # (kind, text, offset): a punctuation mark's kind is its own text, and λ's
 # is a backslash's; a name's kind is "name", the end's "end"
@@ -190,14 +196,12 @@ def parse(text: str) -> MetaExpr:
 
 def eval_meta(e: MetaExpr) -> Term:
     """Carry out the pending substitutions, innermost first."""
-    if type(e) not in (Lit, Meta):
-        raise TypeError(f"not a meta expression: {e!r}")
     # A postorder fold from one stack; ``Meta`` checks its own operands.
     # A ``Meta`` pushes its variable, as the marker that both its operands
     # are done, under its argument and its target, so the target is
     # evaluated first and then the argument: fresh names depend on it.
     done: list[Term] = []
-    stack: list = [e]
+    stack: list = [_meta(e)]
     while stack:
         node = stack.pop()
         tp = type(node)

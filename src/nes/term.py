@@ -59,7 +59,7 @@ class _Record:
 # A term class adds no slot of its own: its fields are the slots of a
 # private field class, whose objects take plain stores (see the builders).
 class _VarFields:
-    __slots__ = ("atom", "_free")
+    __slots__ = ("atom", "_free", "_atoms")
 
 
 class _AbsFields:
@@ -124,11 +124,9 @@ class ESub(_ESubFields, _Record):
         return _esub(_term(body), _atom(binder), _term(arg))
 
 
-# Every node keeps two atom masks (see ``nes.atoms``), filled by its
-# builder from its children's: ``_free``, its free atoms, and ``_atoms``,
-# every atom occurring in it, binders included.  A leaf's two masks are
-# its atom's bit, so one slot serves as both.
-Var._atoms = Var._free
+# Every node keeps two atom masks (see ``nes.atoms``) in its slots, filled
+# by its builder from its children's: ``_free``, its free atoms, and
+# ``_atoms``, every atom occurring in it, binders included.
 _TERMS = frozenset((Var, Abs, App, ESub))
 _new = object.__new__
 
@@ -193,7 +191,7 @@ class _Leaves(dict):
     def __missing__(self, atom: Atom) -> Var:
         leaf = _new(_VarFields)
         leaf.atom = atom
-        leaf._free = atom._bit
+        leaf._free = leaf._atoms = atom._bit
         leaf.__class__ = Var
         # a leaf that loses a race for its atom here is dropped
         return self.setdefault(atom, leaf)
@@ -254,11 +252,9 @@ def size(t: Term) -> int:
         if tp is Abs:
             stack.append(node.body)
         elif tp is App:
-            stack.append(node.fun)
-            stack.append(node.arg)
+            stack += node.fun, node.arg
         elif tp is ESub:
-            stack.append(node.body)
-            stack.append(node.arg)
+            stack += node.body, node.arg
     return n
 
 

@@ -18,3 +18,17 @@ def child_env():
     checkout's ``src``: pytest puts ``src`` on its own path only, and the
     package need not be installed."""
     return {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_pyfunc_call(pyfuncitem):
+    """Report a ``RecursionError`` as a one-line failure.  Its traceback
+    would hold a thousand frames whose locals are deep records, and
+    pytest's search for a repeated frame compares those locals with
+    ``==``, each comparison a walk: that took minutes.  The failure is
+    raised after the ``except`` block, so it carries no chained error."""
+    try:
+        return (yield)
+    except RecursionError as error:
+        message = f"RecursionError: {error}"
+    pytest.fail(message, pytrace=False)

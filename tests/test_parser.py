@@ -1,5 +1,9 @@
 import hashlib
+import shutil
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -183,6 +187,41 @@ NESTED_META = {
 @pytest.mark.parametrize("form", list(NESTED_META))
 def test_eval_meta_at_any_depth(form):
     assert eval_meta(parse(NESTED_META[form])) is Var(y)
+
+
+# A test that folds a deep nesting recursively, as a recursive eval_meta
+# would, and so overflows the stack.
+DEEP_FOLD = """\
+from nes import msubst, parse
+from nes.parser import Lit
+
+
+def fold(e):
+    if type(e) is Lit:
+        return e.term
+    return msubst(fold(e.target), fold(e.arg), e.var)
+
+
+def test_deep_fold():
+    fold(parse("{x := y} " * 5000 + "x"))
+"""
+
+
+def test_a_stack_overflow_fails_in_one_line(tmp_path, child_env):
+    # Under the suite's conftest; without its hook, pytest had not finished
+    # after 20 s, comparing the deep records in the traceback's frames.
+    shutil.copy(Path(__file__).with_name("conftest.py"), tmp_path)
+    (tmp_path / "test_deep_fold.py").write_text(DEEP_FOLD, encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--rootdir", str(tmp_path), str(tmp_path)],
+        cwd=tmp_path, env=child_env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1, result.stdout
+    # the failure's header, its one line, then the summary's banner
+    after = result.stdout.split(" test_deep_fold ", 1)[1].splitlines()
+    assert after[1].startswith("RecursionError: maximum recursion depth")
+    assert after[2].startswith("=")
 
 
 def test_eval_meta_innermost_first():

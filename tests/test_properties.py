@@ -2,6 +2,7 @@ import hashlib
 import random
 import sys
 import zlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -329,6 +330,23 @@ def test_gen_term_rejects_non_configs(junk):
 def test_run_property_rejects_non_configs(junk):
     with pytest.raises(TypeError, match="not a GenConfig: "):
         run_property("swap_id", junk)
+
+
+class _SubConfig(GenConfig):
+    __slots__ = ()
+
+
+# look-alikes that carry a memo, with atoms and with strings in the pool
+@pytest.mark.parametrize("junk", [
+    SimpleNamespace(_terms={}, seed=0, max_size=5, atom_pool=(x,)),
+    SimpleNamespace(_terms={}, seed=0, max_size=5, atom_pool=("x",)),
+    _SubConfig(),
+])
+def test_only_a_genconfig_is_a_config(junk):
+    for check in (lambda: gen_term(junk, 0), lambda: run_property("swap_id", junk)):
+        with pytest.raises(TypeError) as info:
+            check()
+        assert str(info.value) == f"not a GenConfig: {junk!r}"
 
 
 # A vacuity audit of the repairs.  Each helper is replaced by its unrepaired

@@ -390,6 +390,13 @@ def test_a_call_with_several_wrong_arguments_names_the_same_one(make, message):
     assert str(info.value) == message
 
 
+def test_fresh_rejects_a_negative_mask():
+    # every atom's bit is set in a negative int, so no atom is outside it
+    with pytest.raises(ValueError) as info:
+        nes.fresh(-1, x)
+    assert str(info.value) == "negative atom mask: -1"
+
+
 # eval_meta checks its root; Meta checks every operand below it
 @pytest.mark.parametrize("junk", [x, Var(x)])
 def test_eval_meta_names_a_wrong_root(junk):
