@@ -27,7 +27,6 @@ from .alpha import (
     CLam,
     CSub,
     CanonicalTerm,
-    FVar,
     aeq,
     canonicalize,
     render_canonical,
@@ -62,7 +61,6 @@ __all__ = [
     "render",
     "CanonicalTerm",
     "BVar",
-    "FVar",
     "CLam",
     "CApp",
     "CSub",

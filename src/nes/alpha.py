@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .atoms import Atom, _atom
+from .atoms import Atom, _typed
 from .term import Abs, App, ESub, Term, Var, _layout, _new, _Record, _term
 
 
@@ -14,6 +14,7 @@ from .term import Abs, App, ESub, Term, Var, _layout, _new, _Record, _term
 # goes round ``_Record.__setattr__``.  ``_canon`` builds through these
 # constructors, so every nameless record is checked.
 _set = object.__setattr__
+_index = _typed((int,), "an index")
 
 
 class BVar(_Record):
@@ -21,22 +22,10 @@ class BVar(_Record):
     index: int
 
     def __new__(cls, index: int) -> BVar:
-        if type(index) is not int:
-            raise TypeError(f"not an index: {index!r}")
-        if index < 0:
+        if _index(index) < 0:
             raise ValueError(f"negative index: {index!r}")
         node = _new(cls)
         _set(node, "index", index)
-        return node
-
-
-class FVar(_Record):
-    __slots__ = __match_args__ = ("atom",)
-    atom: Atom
-
-    def __new__(cls, atom: Atom) -> FVar:
-        node = _new(cls)
-        _set(node, "atom", _atom(atom))
         return node
 
 
@@ -77,15 +66,9 @@ class CSub(_Record):
         return node
 
 
-CanonicalTerm = Union[BVar, FVar, CLam, CApp, CSub]
-_CANONICAL = frozenset((BVar, FVar, CLam, CApp, CSub))
-
-
-def _canonical(c: object) -> CanonicalTerm:
-    # ``c`` itself, once it is known to be a canonical term
-    if type(c) not in _CANONICAL:
-        raise TypeError(f"not a canonical term: {c!r}")
-    return c
+# A free variable of a canonical term is its atom itself.
+CanonicalTerm = Union[BVar, Atom, CLam, CApp, CSub]
+_canonical = _typed((BVar, Atom, CLam, CApp, CSub), "a canonical term")
 
 
 def canonicalize(t: Term) -> CanonicalTerm:
@@ -93,8 +76,8 @@ def canonicalize(t: Term) -> CanonicalTerm:
 
     Abstractions and the body position of an explicit substitution each
     introduce one binder; the substitution's argument stays outside it.
-    Free atoms are kept by name, so two terms are alpha-equivalent exactly
-    when their canonical forms are structurally equal.
+    A free atom stands for itself, so two terms are alpha-equivalent
+    exactly when their canonical forms are structurally equal.
     """
     return _canon(_term(t), [])
 
@@ -107,7 +90,7 @@ def _canon(t: Term, bound: list[Atom]) -> CanonicalTerm:
         for i in range(len(bound) - 1, -1, -1):
             if bound[i] is a:
                 return BVar(len(bound) - 1 - i)
-        return FVar(a)
+        return a
     if tp is App:
         return CApp(_canon(t.fun, bound), _canon(t.arg, bound))
     # the argument of an ESub sits outside its binder
@@ -177,8 +160,8 @@ def _pieces(c: CanonicalTerm, ctx: int) -> str | list:
     tp = type(c)
     if tp is BVar:
         return f"#{c.index}"
-    if tp is FVar:
-        return str(c.atom)
+    if tp is Atom:
+        return str(c)
     if tp is CApp:
         s = [(c.fun, 1), " ", (c.arg, 2)]
         return ["(", *s, ")"] if ctx == 2 else s

@@ -11,7 +11,7 @@ takes one as its avoid set.
 from __future__ import annotations
 
 from itertools import count
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 # Every atom ever built, keyed by (base, index).  Only valid atoms enter.
 _INTERNED: dict[tuple[str, int | None], Atom] = {}
@@ -74,11 +74,21 @@ class Atom:
         return f"Atom({str(self)!r})"
 
 
-def _atom(a: object) -> Atom:
-    # ``a`` itself, once it is known to be an atom
-    if type(a) is not Atom:
-        raise TypeError(f"not an atom: {a!r}")
-    return a
+def _typed(kinds: Iterable[type], what: str) -> Callable[[object], Any]:
+    """The check that returns its argument when its type is exactly one of
+    ``kinds`` (a subclass is not), and otherwise raises ``TypeError("not
+    {what}: …")``.  Every "not a …" check in ``nes`` is one of these."""
+    kinds = frozenset(kinds)
+
+    def check(value: object) -> Any:
+        if type(value) not in kinds:
+            raise TypeError(f"not {what}: {value!r}")
+        return value
+
+    return check
+
+
+_atom = _typed((Atom,), "an atom")
 
 
 def _is_base(text: str) -> bool:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .atoms import Atom, _atom, parse_atom
+from .atoms import Atom, _atom, _typed, parse_atom
 from .msubst import msubst
 from .term import _LEAVES, Term, _abs, _app, _esub, _fill, _Record, _term
 
@@ -70,13 +70,7 @@ class Meta(_Record):
 
 
 MetaExpr = Union[Lit, Meta]
-
-
-def _meta(e: object) -> MetaExpr:
-    # ``e`` itself, once it is known to be a meta expression
-    if type(e) not in (Lit, Meta):
-        raise TypeError(f"not a meta expression: {e!r}")
-    return e
+_meta = _typed((Lit, Meta), "a meta expression")
 
 
 # (kind, text, offset): a punctuation mark's kind is its own text, and λ's

@@ -14,7 +14,7 @@ import zlib
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .alpha import aeq, canonicalize
-from .atoms import Atom, atoms_of, fresh
+from .atoms import Atom, _typed, atoms_of, fresh
 from .parser import Lit, parse
 from .term import (
     _LEAVES,
@@ -130,6 +130,12 @@ def _pool(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     return pool
 
 
+# the integer check of GenConfig and enumerate_terms, worded once
+def _int(name: str, value: object) -> None:
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {type(value).__name__}")
+
+
 class GenConfig(_Record):
     """Parameters for term generation and law checking.
 
@@ -156,8 +162,7 @@ class GenConfig(_Record):
         cases: int = 10_000,
     ) -> None:
         for name, value in (("max_size", max_size), ("seed", seed), ("cases", cases)):
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, not {type(value).__name__}")
+            _int(name, value)
         atom_pool = _pool(atom_pool)
         if max_size < 1:
             raise ValueError("max_size must be at least 1")
@@ -175,11 +180,8 @@ class GenConfig(_Record):
         return GenConfig(**{**fields, **changes})
 
 
-def _config(c: object) -> GenConfig:
-    # ``c`` itself, once it is known to be a GenConfig
-    if type(c) is not GenConfig:
-        raise TypeError(f"not a GenConfig: {c!r}")
-    return c
+_config = _typed((GenConfig,), "a GenConfig")
+_position = _typed((int,), "a position")
 
 
 class PropertyReport(_Record):
@@ -237,9 +239,7 @@ def gen_term(config: GenConfig, position: int) -> Term:
     counting each term as ``max_size`` nodes plus its entry's overhead);
     later positions are generated afresh."""
     terms = _config(config)._terms
-    if type(position) is not int:
-        raise TypeError(f"not a position: {position!r}")
-    t = terms.get(position)
+    t = terms.get(_position(position))
     if t is None:
         t = _gen(_Stream(_mix(config.seed, position)), config.max_size, config.atom_pool)
         if 0 <= position < _MEMO_NODES // (config.max_size + _ENTRY_NODES):
@@ -274,8 +274,7 @@ def enumerate_terms(max_size: int, pool: Iterable[Atom]) -> list[Term]:
     """Every term of size at most ``max_size`` over ``pool``, smallest
     first.  Intended for exhaustive cross-checks at small sizes.  ``pool``
     is checked as ``GenConfig`` checks its atom pool."""
-    if type(max_size) is not int:
-        raise TypeError(f"max_size must be an int, not {max_size!r}")
+    _int("max_size", max_size)
     pool = _pool(pool)
     if max_size < 1:
         return []
@@ -387,26 +386,23 @@ def _alpha_variant(d: _Draw, t: Term) -> Term:
     """Rename bound atoms of ``t`` by swapping atoms that are not free in
     it; the result is always alpha-equivalent to ``t``."""
     # Neither swapped atom is free in t, so its free atoms stay the same.
-    # The swaps compose into pi, which maps t's atoms to the variant's, and
-    # its inverse inv; each swap rewrites only the two entries that reach
-    # its atoms, and flips the variant's occurring-atom mask when exactly
-    # one of them occurs.  pi is applied once at the end.
+    # The swaps compose into back, which maps the variant's atoms to t's;
+    # each swap rewrites only its own two entries, and flips the variant's
+    # occurring-atom mask when exactly one of them occurs.  back's inverse
+    # is applied once at the end.
     free, atoms = t._free, t._atoms
-    pi: dict[Atom, Atom] = {}
-    inv: dict[Atom, Atom] = {}
+    back: dict[Atom, Atom] = {}
     for _ in range(1 + d.rng.choose(3)):
         x = _not_free(d, free, atoms)
         if d.rng.choose(2):
             y = fresh(atoms | x._bit, x)
         else:
             y = _not_free(d, free, atoms)
-        ax, ay = inv.get(x, x), inv.get(y, y)
-        pi[ax], pi[ay] = y, x
-        inv[y], inv[x] = ax, ay
+        back[x], back[y] = back.get(y, y), back.get(x, x)
         xy = x._bit | y._bit
         if atoms & xy not in (0, xy):  # exactly one of x, y occurs
             atoms ^= xy
-    return permute(pi, t)
+    return permute({a: b for b, a in back.items()}, t)
 
 
 def _variant_or_fresh(d: _Draw, t: Term) -> Term:

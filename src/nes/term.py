@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Union
 
-from .atoms import Atom, _atom, atoms_of
+from .atoms import Atom, _atom, _typed, atoms_of
 
 
 class _Record:
@@ -133,11 +133,7 @@ _new = object.__new__
 Term = Union[Var, Abs, App, ESub]
 
 
-def _term(t: object) -> Term:
-    # ``t`` itself, once it is known to be a term
-    if type(t) not in _TERMS:
-        raise TypeError(f"not a term: {t!r}")
-    return t
+_term = _typed(_TERMS, "a term")
 
 
 # The builders store a node whose children are known to be an atom and

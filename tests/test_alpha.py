@@ -15,7 +15,6 @@ from nes import (
     CLam,
     CSub,
     ESub,
-    FVar,
     Var,
     aeq,
     canonicalize,
@@ -52,8 +51,8 @@ def test_aeq_different_shapes():
 
 def test_canonicalize():
     assert canonicalize(Abs(x, Var(x))) == CLam(BVar(0))
-    assert canonicalize(Abs(x, Var(y))) == CLam(FVar(y))
-    assert canonicalize(ESub(Var(x), x, Var(x))) == CSub(BVar(0), FVar(x))
+    assert canonicalize(Abs(x, Var(y))) == CLam(y)
+    assert canonicalize(ESub(Var(x), x, Var(x))) == CSub(BVar(0), x)
 
 
 def test_canonicalize_nested_binders():
@@ -75,7 +74,7 @@ def test_render_canonical_at_any_depth():
     # checked in test_records.py
     n, c = 10**5, BVar(0)
     for _ in range(n):
-        c = CLam(CApp(c, FVar(x)))
+        c = CLam(CApp(c, x))
     assert render_canonical(c) == "\\. " + "(\\. " * (n - 1) + "#0 x" + ") x" * (n - 1)
 
 
@@ -141,14 +140,16 @@ def test_aeq_agrees_with_the_swap_rule_on_swap_variants(chain, other):
 def test_exhaustive_oracle_script(child_env):
     root = Path(__file__).resolve().parents[1]
     script = root / "scripts" / "exhaustive_oracle.py"
-    result = subprocess.run(
-        [sys.executable, str(script), "--max-size", "5"],
-        env=child_env,
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stderr
-    assert "disagreements: 0" in result.stdout
+    # two atoms up to size 5, and three atoms up to size 4
+    for args in (["--max-size", "5"], ["--max-size", "4", "--atoms", "3"]):
+        result = subprocess.run(
+            [sys.executable, str(script), *args],
+            env=child_env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "disagreements: 0" in result.stdout
 
 
 @pytest.mark.parametrize(

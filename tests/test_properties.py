@@ -320,6 +320,17 @@ def test_enumerate_terms_checks_its_pool_as_genconfig_does(pool, message):
             enumerate_terms(max_size, pool)
 
 
+@pytest.mark.parametrize("junk", ["s", 2.0, True, None])
+def test_enumerate_terms_checks_max_size_as_genconfig_does(junk):
+    with pytest.raises(Exception) as from_config:
+        GenConfig(max_size=junk)
+    with pytest.raises(Exception) as from_enumerate:
+        enumerate_terms(junk, (x, y))
+    assert type(from_enumerate.value) is type(from_config.value) is ValueError
+    assert str(from_enumerate.value) == str(from_config.value)
+    assert str(from_config.value) == f"max_size must be an int, not {type(junk).__name__}"
+
+
 @pytest.mark.parametrize("junk", [None, 20, properties.DEFAULT_POOL])
 def test_gen_term_rejects_non_configs(junk):
     with pytest.raises(TypeError, match="not a GenConfig: "):

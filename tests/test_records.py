@@ -18,7 +18,6 @@ from nes import (
     CApp,
     CLam,
     CSub,
-    FVar,
     GenConfig,
     Lit,
     Meta,
@@ -35,17 +34,16 @@ x, y = Atom("x"), Atom("y")
 # (record, its repr, an equal record built separately)
 RECORDS = [
     (BVar(0), "BVar(index=0)", BVar(0)),
-    (FVar(x), "FVar(atom=Atom('x'))", FVar(x)),
     (CLam(BVar(0)), "CLam(body=BVar(index=0))", CLam(BVar(0))),
     (
-        CApp(FVar(x), BVar(1)),
-        "CApp(fun=FVar(atom=Atom('x')), arg=BVar(index=1))",
-        CApp(FVar(x), BVar(1)),
+        CApp(x, BVar(1)),
+        "CApp(fun=Atom('x'), arg=BVar(index=1))",
+        CApp(x, BVar(1)),
     ),
     (
-        CSub(BVar(0), FVar(x)),
-        "CSub(body=BVar(index=0), arg=FVar(atom=Atom('x')))",
-        CSub(BVar(0), FVar(x)),
+        CSub(BVar(0), x),
+        "CSub(body=BVar(index=0), arg=Atom('x'))",
+        CSub(BVar(0), x),
     ),
     (Lit(Var(x)), "Lit(term=Var(atom=Atom('x')))", Lit(Var(x))),
     (
@@ -143,10 +141,10 @@ def test_a_record_equals_itself_without_a_walk(monkeypatch):
 
 
 def test_equality_respects_the_class():
-    a, b = FVar(x), BVar(0)
+    a, b = x, BVar(0)
     assert CApp(a, b) != CSub(a, b) and CSub(a, b) != CApp(a, b)
-    assert BVar(0) != FVar(x) and FVar(x) != BVar(0)
-    assert CLam(FVar(x)) != Lit(Var(x))
+    assert BVar(0) != x and x != BVar(0)
+    assert CLam(x) != Lit(Var(x))
     assert BVar(0) != BVar(1) and CApp(a, b) != CApp(b, a)
     assert len({CApp(a, b), CSub(a, b), CApp(a, b)}) == 2
     report = PropertyReport("law", 10, 1, 0)
@@ -160,7 +158,7 @@ def _shape(c) -> str:
             return "innermost"
         case BVar(k):
             return f"bound {k}"
-        case FVar(a):
+        case Atom() as a:
             return f"free {a}"
         case CLam(CApp(fun, BVar(0))):
             return f"eta-like over {_shape(fun)}"
@@ -174,9 +172,9 @@ def _shape(c) -> str:
 
 
 def test_match_patterns():
-    assert _shape(CLam(CApp(FVar(x), BVar(0)))) == "eta-like over free x"
+    assert _shape(CLam(CApp(x, BVar(0)))) == "eta-like over free x"
     assert _shape(CLam(BVar(2))) == "lambda of bound 2"
-    assert _shape(CSub(BVar(0), CApp(FVar(y), BVar(1)))) == (
+    assert _shape(CSub(BVar(0), CApp(y, BVar(1)))) == (
         "innermost where free y applied to bound 1"
     )
     assert _shape(Lit(Var(x))) == "other"
@@ -226,9 +224,9 @@ def _lam_chain(n, leaf):
 
 
 def _sub_app_spine(n, leaf):
-    c = FVar(x)
+    c = x
     for _ in range(n):
-        c = CSub(CApp(c, BVar(0)), FVar(y))
+        c = CSub(CApp(c, BVar(0)), y)
     return CApp(c, leaf)
 
 
@@ -245,8 +243,8 @@ def _lam_chain_text(n, leaf):
 
 def _sub_app_spine_text(n, leaf):
     return (
-        "CApp(fun=" + "CSub(body=CApp(fun=" * n + "FVar(atom=Atom('x'))"
-        + ", arg=BVar(index=0)), arg=FVar(atom=Atom('y')))" * n + f", arg={leaf!r})"
+        "CApp(fun=" + "CSub(body=CApp(fun=" * n + "Atom('x')"
+        + ", arg=BVar(index=0)), arg=Atom('y'))" * n + f", arg={leaf!r})"
     )
 
 
@@ -282,7 +280,6 @@ def test_nameless_equality_and_hash_are_stack_safe(build):
         (lambda: BVar("s"), "not an index: 's'"),
         (lambda: BVar(True), "not an index: True"),
         (lambda: BVar(-1), "negative index: -1"),
-        (lambda: FVar(None), "not an atom: None"),
         (lambda: CLam(5), "not a canonical term: 5"),
         (lambda: CApp(None, BVar(0)), "not a canonical term: None"),
         (lambda: CSub(BVar(0), "s"), "not a canonical term: 's'"),
@@ -318,7 +315,7 @@ PARAMETERS = {
     "ESub": ("term", "atom", "term"), "size": ("term",), "fv_nom": ("term",),
     "all_atoms": ("term",), "vswap": ("atom", "atom", "atom"),
     "swap": ("atom", "atom", "term"), "render": ("term",), "BVar": ("int",),
-    "FVar": ("atom",), "CLam": ("canonical",), "CApp": ("canonical", "canonical"),
+    "CLam": ("canonical",), "CApp": ("canonical", "canonical"),
     "CSub": ("canonical", "canonical"), "aeq": ("term", "term"),
     "canonicalize": ("term",), "render_canonical": ("canonical",),
     "msubst": ("term", "term", "atom"), "Lit": ("term",),

@@ -13,7 +13,6 @@ from nes import (
     CLam,
     CSub,
     ESub,
-    FVar,
     GenConfig,
     Var,
     all_atoms,
@@ -401,7 +400,7 @@ def test_walks_build_what_the_public_constructors_build():
         assert t == twin and _masks(t) == _masks(twin), t
 
 
-PUBLIC = _TERMS | {BVar, FVar, CLam, CApp, CSub}
+PUBLIC = _TERMS | {BVar, CLam, CApp, CSub}
 
 
 def test_nodes_built_by_walks_are_sealed():
@@ -419,6 +418,8 @@ def test_nodes_built_by_walks_are_sealed():
         ]
     while built:
         node = built.pop()
+        if type(node) is Atom:  # a field, or a canonical form's free variable
+            continue
         assert type(node) in PUBLIC, type(node)
         for field in node.__match_args__:
             with pytest.raises(AttributeError):
@@ -426,7 +427,7 @@ def test_nodes_built_by_walks_are_sealed():
             with pytest.raises(AttributeError):
                 delattr(node, field)
         values = [getattr(node, field) for field in node.__match_args__]
-        built += [v for v in values if type(v) not in (Atom, int)]
+        built += [v for v in values if type(v) is not int]
 
 
 def test_copies_are_equal_and_fields_are_read_only():
