@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +55,18 @@ def test_canonicalize():
     assert canonicalize(Abs(x, Var(x))) == CLam(BVar(0))
     assert canonicalize(Abs(x, Var(y))) == CLam(y)
     assert canonicalize(ESub(Var(x), x, Var(x))) == CSub(BVar(0), x)
+
+
+def test_a_canonical_free_variable_is_its_atom():
+    # the interned atom itself, through canonicalize, copies and rendering
+    assert canonicalize(Var(x)) is x
+    c = canonicalize(ESub(App(Var(x), Var(y)), x, Var(z)))
+    assert c == CSub(CApp(BVar(0), y), z)
+    assert c.body.arg is y and c.arg is z
+    copied = pickle.loads(pickle.dumps(c))
+    assert copied == c and copied.body.arg is y and copied.arg is z
+    assert copy.deepcopy(c).arg is z
+    assert render_canonical(x) == "x" and render_canonical(c) == "[:= z] #0 y"
 
 
 def test_canonicalize_nested_binders():

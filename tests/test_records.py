@@ -283,6 +283,7 @@ def test_nameless_equality_and_hash_are_stack_safe(build):
         (lambda: CLam(5), "not a canonical term: 5"),
         (lambda: CApp(None, BVar(0)), "not a canonical term: None"),
         (lambda: CSub(BVar(0), "s"), "not a canonical term: 's'"),
+        (lambda: CApp(x, "x"), "not a canonical term: 'x'"),
         (lambda: CLam(Var(x)), "not a canonical term: Var"),
         (lambda: Meta(5, x, Lit(Var(x))), "not a meta expression: 5"),
         (lambda: Meta(Lit(Var(x)), x, Var(x)), "not a meta expression: Var"),
