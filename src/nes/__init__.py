@@ -32,7 +32,7 @@ from .alpha import (
     render_canonical,
 )
 from .msubst import msubst
-from .parser import Lit, Meta, MetaExpr, ParseError, eval_meta, parse
+from .parser import Meta, MetaExpr, ParseError, eval_meta, parse
 from .properties import (
     DEFAULT_POOL,
     PROPERTY_NAMES,
@@ -69,7 +69,6 @@ __all__ = [
     "render_canonical",
     "msubst",
     "MetaExpr",
-    "Lit",
     "Meta",
     "ParseError",
     "parse",

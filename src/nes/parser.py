@@ -27,11 +27,9 @@ in characters (a tab, ``\\r`` or ``λ`` is one column); the CLI prints
 
 from __future__ import annotations
 
-from typing import Union
-
 from .atoms import Atom, _atom, _typed, parse_atom
 from .msubst import msubst
-from .term import _LEAVES, Term, _abs, _app, _esub, _fill, _Record, _term
+from .term import _LEAVES, _TERMS, Term, _abs, _app, _esub, _fill, _Record
 
 
 class ParseError(Exception):
@@ -48,14 +46,6 @@ class ParseError(Exception):
         )
 
 
-class Lit(_Record):
-    __slots__ = __match_args__ = ("term",)
-    term: Term
-
-    def __init__(self, term: Term) -> None:
-        _fill(self, _term(term))
-
-
 class Meta(_Record):
     """``{var := arg} target``, evaluated by :func:`eval_meta`."""
 
@@ -69,8 +59,8 @@ class Meta(_Record):
         _fill(self, target, _atom(var), arg)
 
 
-MetaExpr = Union[Lit, Meta]
-_meta = _typed((Lit, Meta), "a meta expression")
+MetaExpr = Term | Meta
+_meta = _typed((*_TERMS, Meta), "a meta expression")
 
 
 # (kind, text, offset): a punctuation mark's kind is its own text, and λ's
@@ -128,8 +118,9 @@ def _name(text: str, tok: _Token) -> Atom:
 
 
 def parse(text: str) -> MetaExpr:
-    """Parse ``text``; raises :class:`ParseError` on bad input (including
-    empty input and unbalanced brackets)."""
+    """The term ``text`` spells, or a :class:`Meta` if it holds a brace form;
+    raises :class:`ParseError` on bad input (including empty input and
+    unbalanced brackets)."""
     # One loop over the tokens, with a stack of open frames: the input's,
     # and one per open '(', '[x :=' or '{x :='.  A frame is [the token kind
     # that closes it, the binder forms to wrap round it as (kind, binder,
@@ -175,9 +166,7 @@ def parse(text: str) -> MetaExpr:
                 elif k == "[":
                     t = _esub(t, x, u)
                 else:
-                    t = Meta(t if type(t) is Meta else Lit(t), x, u)
-            if closer in ("}", "end") and type(t) is not Meta:
-                t = Lit(t)
+                    t = Meta(t, x, u)
             if closer == "end":
                 return t
             stack.pop()
@@ -189,21 +178,22 @@ def parse(text: str) -> MetaExpr:
 
 
 def eval_meta(e: MetaExpr) -> Term:
-    """Carry out the pending substitutions, innermost first."""
+    """Carry out the pending substitutions, innermost first (none in a term)."""
     # A postorder fold from one stack; ``Meta`` checks its own operands.
-    # A ``Meta`` pushes its variable, as the marker that both its operands
-    # are done, under its argument and its target, so the target is
-    # evaluated first and then the argument: fresh names depend on it.
+    # A ``Meta`` pushes its variable, the marker that both operands are
+    # done, under its argument and its target.  ``msubst`` is pure (a fresh
+    # name depends only on the atoms avoided), so any order gives the same
+    # term; target first leaves the two on ``done`` in ``msubst``'s order.
     done: list[Term] = []
     stack: list = [_meta(e)]
     while stack:
         node = stack.pop()
         tp = type(node)
-        if tp is Lit:
-            done.append(node.term)
-        elif tp is Meta:
+        if tp is Meta:
             stack += (node.var, node.arg, node.target)
-        else:
+        elif tp is Atom:
             arg = done.pop()
             done.append(msubst(done.pop(), arg, node))
+        else:  # a finished term
+            done.append(node)
     return done[0]

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .alpha import aeq, canonicalize
 from .atoms import Atom, _typed, atoms_of, fresh
-from .parser import Lit, parse
+from .parser import parse
 from .term import (
     _LEAVES,
     Abs,
@@ -120,13 +120,15 @@ def _mix(a: int, b: int) -> int:
 
 
 def _pool(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-    """``atoms`` as an atom pool: a nonempty tuple of atoms."""
+    """``atoms`` as an atom pool: a nonempty tuple of distinct atoms."""
     pool = tuple(atoms)
     for a in pool:
         if type(a) is not Atom:
             raise ValueError(f"atom_pool must hold atoms, not {type(a).__name__}")
     if not pool:
         raise ValueError("atom_pool must be nonempty")
+    if len(set(pool)) < len(pool):
+        raise ValueError("atom_pool must not repeat an atom")
     return pool
 
 
@@ -645,7 +647,7 @@ _CATALOGUE: dict[str, _Prop] = {
     ),
     "parse_roundtrip": _Prop(
         lambda d: {"t": d.term()},
-        lambda t: parse(render(t)) == Lit(t),
+        lambda t: parse(render(t)) == t,
     ),
 }
 

@@ -134,6 +134,7 @@ Term = Union[Var, Abs, App, ESub]
 
 
 _term = _typed(_TERMS, "a term")
+_dict = _typed((dict,), "a dict")
 
 
 # The builders store a node whose children are known to be an atom and
@@ -285,15 +286,17 @@ def vswap(x: Atom, y: Atom, z: Atom) -> Atom:
 
 
 def permute(pi: dict[Atom, Atom], t: Term) -> Term:
-    """Apply the atom permutation ``pi`` (or its restriction to ``t``'s
-    atoms) at every atom position of ``t``, binders included, in one pass.
+    """Apply the atom permutation ``pi``, a dict whose moved atoms are its
+    images, at every atom position of ``t``, binders included, in one pass.
     Atoms absent from ``pi`` are fixed.  A subterm whose atom mask holds
     none of the atoms ``pi`` moves does not change, and comes back as the
     same object without being entered; every other subterm changes."""
-    moved = 0
-    for a, b in pi.items():
+    moved = images = 0
+    for a, b in _dict(pi).items():
         if _atom(a) is not _atom(b):
-            moved |= a._bit
+            moved, images = moved | a._bit, images | b._bit
+    if moved != images:
+        raise ValueError(f"not a permutation: {pi!r}")
     return _permute(_term(t), pi, moved)
 
 

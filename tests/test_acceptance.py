@@ -12,7 +12,6 @@ from nes import (
     Atom,
     ESub,
     GenConfig,
-    Lit,
     Meta,
     PROPERTY_NAMES,
     Var,
@@ -173,31 +172,31 @@ def test_criterion_5_syntactic_equality_lemmas():
 
 
 CORPUS = [
-    ("x", Lit(Var(x))),
-    ("x0", Lit(Var(Atom("x", 0)))),
-    ("x y", Lit(App(Var(x), Var(y)))),
-    ("x y z", Lit(App(App(Var(x), Var(y)), Var(z)))),
-    ("x (y z)", Lit(App(Var(x), App(Var(y), Var(z))))),
-    ("(x y) z", Lit(App(App(Var(x), Var(y)), Var(z)))),
-    ("((x))", Lit(Var(x))),
-    ("\\x. x", Lit(Abs(x, Var(x)))),
-    ("λx. x", Lit(Abs(x, Var(x)))),
-    ("\\x. x y", Lit(Abs(x, App(Var(x), Var(y))))),
-    ("(\\x. x) y", Lit(App(Abs(x, Var(x)), Var(y)))),
-    ("x (\\y. y)", Lit(App(Var(x), Abs(y, Var(y))))),
-    ("\\x. \\y. x y", Lit(Abs(x, Abs(y, App(Var(x), Var(y)))))),
-    ("(\\x. \\y. x y) y", Lit(App(Abs(x, Abs(y, App(Var(x), Var(y)))), Var(y)))),
-    ("[x := y] x", Lit(ESub(Var(x), x, Var(y)))),
-    ("[x := y z] x w", Lit(ESub(App(Var(x), Var(w)), x, App(Var(y), Var(z))))),
-    ("([x := y] x) z", Lit(App(ESub(Var(x), x, Var(y)), Var(z)))),
-    ("x ([y := z] y)", Lit(App(Var(x), ESub(Var(y), y, Var(z))))),
-    ("[x := \\y. y] x", Lit(ESub(Var(x), x, Abs(y, Var(y))))),
-    ("[x := [y := z] y] x", Lit(ESub(Var(x), x, ESub(Var(y), y, Var(z))))),
-    ("\\x. [y := x] y", Lit(Abs(x, ESub(Var(y), y, Var(x))))),
-    ("{x := y} x", Meta(Lit(Var(x)), x, Lit(Var(y)))),
-    ("{x := y} (\\y. x y)", Meta(Lit(Abs(y, App(Var(x), Var(y)))), x, Lit(Var(y)))),
-    ("{x := {y := z} y} x", Meta(Lit(Var(x)), x, Meta(Lit(Var(y)), y, Lit(Var(z))))),
-    ("  \\x .   x\ty ", Lit(Abs(x, App(Var(x), Var(y))))),
+    ("x", Var(x)),
+    ("x0", Var(Atom("x", 0))),
+    ("x y", App(Var(x), Var(y))),
+    ("x y z", App(App(Var(x), Var(y)), Var(z))),
+    ("x (y z)", App(Var(x), App(Var(y), Var(z)))),
+    ("(x y) z", App(App(Var(x), Var(y)), Var(z))),
+    ("((x))", Var(x)),
+    ("\\x. x", Abs(x, Var(x))),
+    ("λx. x", Abs(x, Var(x))),
+    ("\\x. x y", Abs(x, App(Var(x), Var(y)))),
+    ("(\\x. x) y", App(Abs(x, Var(x)), Var(y))),
+    ("x (\\y. y)", App(Var(x), Abs(y, Var(y)))),
+    ("\\x. \\y. x y", Abs(x, Abs(y, App(Var(x), Var(y))))),
+    ("(\\x. \\y. x y) y", App(Abs(x, Abs(y, App(Var(x), Var(y)))), Var(y))),
+    ("[x := y] x", ESub(Var(x), x, Var(y))),
+    ("[x := y z] x w", ESub(App(Var(x), Var(w)), x, App(Var(y), Var(z)))),
+    ("([x := y] x) z", App(ESub(Var(x), x, Var(y)), Var(z))),
+    ("x ([y := z] y)", App(Var(x), ESub(Var(y), y, Var(z)))),
+    ("[x := \\y. y] x", ESub(Var(x), x, Abs(y, Var(y)))),
+    ("[x := [y := z] y] x", ESub(Var(x), x, ESub(Var(y), y, Var(z)))),
+    ("\\x. [y := x] y", Abs(x, ESub(Var(y), y, Var(x)))),
+    ("{x := y} x", Meta(Var(x), x, Var(y))),
+    ("{x := y} (\\y. x y)", Meta(Abs(y, App(Var(x), Var(y))), x, Var(y))),
+    ("{x := {y := z} y} x", Meta(Var(x), x, Meta(Var(y), y, Var(z)))),
+    ("  \\x .   x\ty ", Abs(x, App(Var(x), Var(y)))),
 ]
 
 

@@ -297,6 +297,12 @@ def test_check_pool_and_flags(capsys):
     assert "failures=0" in out
 
 
+def test_check_pool_with_a_repeated_atom_is_status_2(capsys):
+    code, out, err = run(capsys, "check", "--lemma", "aeq_refl", "--pool", "x,x")
+    assert (code, out) == (2, "")
+    assert "atom_pool must not repeat an atom" in err
+
+
 def test_check_byte_identical_across_runs(capsys):
     flags = ["check", "--lemma", "m_subst_lemma", "--cases", "30", "--seed", "2"]
     _, first, _ = run(capsys, *flags)

@@ -57,7 +57,7 @@ def _garbage(call) -> int:
         lambda: canonicalize(TERM),
         # y is free in the argument, so the binder y is renamed to y0
         lambda: msubst(ESub(App(Var(x), Var(y)), y, Var(y)), Var(z), x),
-        lambda: render(parse(r"[y := \x. x y] (\y. y x) z").term),
+        lambda: render(parse(r"[y := \x. x y] (\y. y x) z")),
         lambda: run_property("m_subst_lemma", GenConfig(cases=20)),
         lambda: run_property("aeq_m_subst_eq", GenConfig(cases=20)),
     ],

@@ -5,6 +5,7 @@ import sys
 from itertools import product
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -13,60 +14,60 @@ from nes import (
     App,
     Atom,
     ESub,
-    Lit,
     Meta,
     ParseError,
     Var,
     aeq,
     eval_meta,
+    msubst,
     parse,
     render,
 )
-from strategies import terms
+from strategies import atoms, terms
 
 x, y, z, a, b = Atom("x"), Atom("y"), Atom("z"), Atom("a"), Atom("b")
 
 
 def test_parse_abstraction():
-    assert parse("\\x. x") == Lit(Abs(x, Var(x)))
-    assert parse("λx. x") == Lit(Abs(x, Var(x)))
+    assert parse("\\x. x") == Abs(x, Var(x))
+    assert parse("λx. x") == Abs(x, Var(x))
 
 
 def test_parse_application_left_associative():
-    assert parse("x y z") == Lit(App(App(Var(x), Var(y)), Var(z)))
-    assert parse("x (y z)") == Lit(App(Var(x), App(Var(y), Var(z))))
+    assert parse("x y z") == App(App(Var(x), Var(y)), Var(z))
+    assert parse("x (y z)") == App(Var(x), App(Var(y), Var(z)))
 
 
 def test_parse_redex():
     expected = App(Abs(x, Abs(y, App(Var(x), Var(y)))), Var(y))
-    assert parse("(\\x. \\y. x y) y") == Lit(expected)
+    assert parse("(\\x. \\y. x y) y") == expected
 
 
 def test_parse_explicit_substitution_extends_right():
-    assert parse("[x := y] x") == Lit(ESub(Var(x), x, Var(y)))
-    assert parse("[x := y z] x w") == Lit(
-        ESub(App(Var(x), Var(Atom("w"))), x, App(Var(y), Var(z)))
+    assert parse("[x := y] x") == ESub(Var(x), x, Var(y))
+    assert parse("[x := y z] x w") == ESub(
+        App(Var(x), Var(Atom("w"))), x, App(Var(y), Var(z))
     )
 
 
 def test_parse_meta():
     assert parse("{x := y} (\\y. x y)") == Meta(
-        Lit(Abs(y, App(Var(x), Var(y)))), x, Lit(Var(y))
+        Abs(y, App(Var(x), Var(y))), x, Var(y)
     )
 
 
 def test_parse_nested_meta():
     got = parse("{x := {a := b} a} x")
-    assert got == Meta(Lit(Var(x)), x, Meta(Lit(Var(a)), a, Lit(Var(b))))
+    assert got == Meta(Var(x), x, Meta(Var(a), a, Var(b)))
 
 
 def test_parse_trailing_digits_are_indices():
-    assert parse("y0") == Lit(Var(Atom("y", 0)))
-    assert parse("foo12 bar") == Lit(App(Var(Atom("foo", 12)), Var(Atom("bar"))))
+    assert parse("y0") == Var(Atom("y", 0))
+    assert parse("foo12 bar") == App(Var(Atom("foo", 12)), Var(Atom("bar")))
 
 
 def test_parse_whitespace_insensitive():
-    assert parse("  \\x .\n  x\ty ") == Lit(Abs(x, App(Var(x), Var(y))))
+    assert parse("  \\x .\n  x\ty ") == Abs(x, App(Var(x), Var(y)))
 
 
 def test_parse_error_unclosed_bracket():
@@ -130,7 +131,7 @@ def test_parse_outcomes_are_pinned():
                 outcome = repr((err.line, err.column, err.expected, err.found, str(err)))
             digest.update(f"{text!r}\t{outcome}\n".encode())
     assert digest.hexdigest() == (
-        "d39b5867690797eeb683928bcfa2f156923f30d3461e27cdb90a6bf7ab04baa7"
+        "2d6a486fb823daf2d1117f1ecb0dab2956beaaf510b0066474ec6ac12dcd2f72"
     )
 
 
@@ -150,7 +151,7 @@ NESTED = {
 @pytest.mark.parametrize("form", list(NESTED))
 def test_parse_and_render_at_any_depth(form):
     text, rendering = NESTED[form]
-    assert render(parse(text).term) == (rendering or text)
+    assert render(parse(text)) == (rendering or text)
 
 
 def test_deep_malformed_input_is_a_parse_error():
@@ -164,17 +165,31 @@ def test_deep_malformed_input_is_a_parse_error():
 
 
 def test_eval_meta():
-    assert eval_meta(Lit(Var(x))) == Var(x)
-    assert eval_meta(Meta(Lit(Var(x)), x, Lit(Var(y)))) == Var(y)
+    assert eval_meta(Meta(Var(x), x, Var(y))) is Var(y)
     got = eval_meta(parse("{x := y} (\\y. x y)"))
     assert aeq(got, Abs(z, App(Var(y), Var(z))))
 
 
-@pytest.mark.parametrize("junk", [5, None, "x", x, Lit(Var(x))])
-def test_lit_rejects_non_terms(junk):
-    # so eval_meta never hands back what is not a term
-    with pytest.raises(TypeError, match="not a term: "):
-        eval_meta(Lit(junk))
+@given(terms)
+def test_a_term_is_its_own_meta_expression(t):
+    assert eval_meta(t) is t
+
+
+def _fold_argument_first(e):
+    if type(e) is not Meta:
+        return e
+    arg = _fold_argument_first(e.arg)
+    return msubst(_fold_argument_first(e.target), arg, e.var)
+
+
+metas = st.recursive(terms, lambda sub: st.builds(Meta, sub, atoms, sub), max_leaves=8)
+
+
+@given(metas)
+def test_eval_meta_does_not_depend_on_the_order_of_operands(e):
+    # msubst is a pure function of its operands, so folding the argument
+    # before the target gives the same term
+    assert eval_meta(e) == _fold_argument_first(e)
 
 
 # {x := y} nested DEEP levels, in target and in argument position
@@ -192,13 +207,12 @@ def test_eval_meta_at_any_depth(form):
 # A test that folds a deep nesting recursively, as a recursive eval_meta
 # would, and so overflows the stack.
 DEEP_FOLD = """\
-from nes import msubst, parse
-from nes.parser import Lit
+from nes import Meta, msubst, parse
 
 
 def fold(e):
-    if type(e) is Lit:
-        return e.term
+    if type(e) is not Meta:
+        return e
     return msubst(fold(e.target), fold(e.arg), e.var)
 
 
@@ -237,4 +251,4 @@ def test_roundtrip_examples():
 
 @given(terms)
 def test_roundtrip_random(t):
-    assert parse(render(t)) == Lit(t)
+    assert parse(render(t)) == t

@@ -310,7 +310,8 @@ def test_enumerate_terms_below_size_one_is_empty():
 @pytest.mark.parametrize(
     "pool, message",
     [((), "atom_pool must be nonempty"), ([x, "y"], "atom_pool must hold atoms, not str"),
-     ((None,), "atom_pool must hold atoms, not NoneType")],
+     ((None,), "atom_pool must hold atoms, not NoneType"),
+     ((x, y, x), "atom_pool must not repeat an atom")],
 )
 def test_enumerate_terms_checks_its_pool_as_genconfig_does(pool, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -19,7 +19,6 @@ from nes import (
     CLam,
     CSub,
     GenConfig,
-    Lit,
     Meta,
     PropertyReport,
     Var,
@@ -45,12 +44,11 @@ RECORDS = [
         "CSub(body=BVar(index=0), arg=Atom('x'))",
         CSub(BVar(0), x),
     ),
-    (Lit(Var(x)), "Lit(term=Var(atom=Atom('x')))", Lit(Var(x))),
     (
-        Meta(Lit(Var(x)), y, Lit(Var(y))),
-        "Meta(target=Lit(term=Var(atom=Atom('x'))), var=Atom('y'), "
-        "arg=Lit(term=Var(atom=Atom('y'))))",
-        Meta(Lit(Var(x)), y, Lit(Var(y))),
+        Meta(Var(x), y, Var(y)),
+        "Meta(target=Var(atom=Atom('x')), var=Atom('y'), "
+        "arg=Var(atom=Atom('y')))",
+        Meta(Var(x), y, Var(y)),
     ),
     (
         GenConfig(max_size=3, atom_pool=[x, y], seed=5, cases=7),
@@ -144,7 +142,7 @@ def test_equality_respects_the_class():
     a, b = x, BVar(0)
     assert CApp(a, b) != CSub(a, b) and CSub(a, b) != CApp(a, b)
     assert BVar(0) != x and x != BVar(0)
-    assert CLam(x) != Lit(Var(x))
+    assert CLam(x) != Var(x)
     assert BVar(0) != BVar(1) and CApp(a, b) != CApp(b, a)
     assert len({CApp(a, b), CSub(a, b), CApp(a, b)}) == 2
     report = PropertyReport("law", 10, 1, 0)
@@ -177,9 +175,9 @@ def test_match_patterns():
     assert _shape(CSub(BVar(0), CApp(y, BVar(1)))) == (
         "innermost where free y applied to bound 1"
     )
-    assert _shape(Lit(Var(x))) == "other"
-    match Meta(Lit(Var(x)), y, Lit(Var(y))):
-        case Meta(Lit(Var(a)), v, Lit(Var(b))):
+    assert _shape(Var(x)) == "other"
+    match Meta(Var(x), y, Var(y)):
+        case Meta(Var(a), v, Var(b)):
             assert (a, v, b) == (x, y, y)
         case _:
             pytest.fail("Meta pattern did not match")
@@ -233,7 +231,7 @@ def _sub_app_spine(n, leaf):
 def _meta_chain(n, leaf):
     c = leaf
     for _ in range(n):
-        c = Meta(Lit(Var(x)), y, c)
+        c = Meta(Var(x), y, c)
     return c
 
 
@@ -249,7 +247,7 @@ def _sub_app_spine_text(n, leaf):
 
 
 def _meta_chain_text(n, leaf):
-    head = "Meta(target=Lit(term=Var(atom=Atom('x'))), var=Atom('y'), arg="
+    head = "Meta(target=Var(atom=Atom('x')), var=Atom('y'), arg="
     return head * n + repr(leaf) + ")" * n
 
 
@@ -257,7 +255,7 @@ def _meta_chain_text(n, leaf):
 SHAPES = {
     _lam_chain: (BVar(0), BVar(1), _lam_chain_text),
     _sub_app_spine: (BVar(0), BVar(1), _sub_app_spine_text),
-    _meta_chain: (Lit(Var(x)), Lit(Var(y)), _meta_chain_text),
+    _meta_chain: (Var(x), Var(y), _meta_chain_text),
 }
 DEEP = 10**5
 
@@ -285,9 +283,9 @@ def test_nameless_equality_and_hash_are_stack_safe(build):
         (lambda: CSub(BVar(0), "s"), "not a canonical term: 's'"),
         (lambda: CApp(x, "x"), "not a canonical term: 'x'"),
         (lambda: CLam(Var(x)), "not a canonical term: Var"),
-        (lambda: Meta(5, x, Lit(Var(x))), "not a meta expression: 5"),
-        (lambda: Meta(Lit(Var(x)), x, Var(x)), "not a meta expression: Var"),
-        (lambda: Meta(Lit(Var(x)), "x", Lit(Var(x))), "not an atom: 'x'"),
+        (lambda: Meta(5, x, Var(x)), "not a meta expression: 5"),
+        (lambda: Meta(Var(x), x, x), r"not a meta expression: Atom\('x'\)"),
+        (lambda: Meta(Var(x), "x", Var(x)), "not an atom: 'x'"),
     ],
 )
 def test_nameless_records_and_meta_check_their_fields(make, message):
@@ -299,15 +297,15 @@ def test_nameless_records_and_meta_check_their_fields(make, message):
 # values of each kind: the walk below passes each of them, one position at
 # a time, with right values (GOOD) everywhere else.
 WRONG = {"None": None, "int": 5, "str": "s", "float": 1.5, "bool": True,
-         "term": Var(x), "Lit": Lit(Var(x)), "BVar": BVar(0)}
+         "term": Var(x), "Meta": Meta(Var(x), x, Var(x)), "BVar": BVar(0)}
 GOOD = {
-    "atom": x, "term": Var(x), "canonical": BVar(0), "meta": Lit(Var(x)),
+    "atom": x, "term": Var(x), "canonical": BVar(0), "meta": Var(x),
     "text": "x", "law": "swap_id", "int": 2, "index": None, "avoid": 0,
     "pool": (x,), "config": GenConfig(max_size=2, cases=1),
 }
 # the values of WRONG that a kind accepts
 RIGHT = {
-    "term": {"term"}, "canonical": {"BVar"}, "meta": {"Lit"}, "text": {"str"},
+    "term": {"term"}, "canonical": {"BVar"}, "meta": {"term", "Meta"}, "text": {"str"},
     "int": {"int"}, "index": {"None", "int"}, "avoid": {"int"},
 }
 PARAMETERS = {
@@ -319,7 +317,7 @@ PARAMETERS = {
     "CLam": ("canonical",), "CApp": ("canonical", "canonical"),
     "CSub": ("canonical", "canonical"), "aeq": ("term", "term"),
     "canonicalize": ("term",), "render_canonical": ("canonical",),
-    "msubst": ("term", "term", "atom"), "Lit": ("term",),
+    "msubst": ("term", "term", "atom"),
     "Meta": ("meta", "atom", "meta"), "parse": ("text",), "eval_meta": ("meta",),
     "GenConfig": ("int", "pool", "int", "int"), "gen_term": ("config", "int"),
     "run_property": ("law", "config"), "enumerate_terms": ("int", "pool"),
@@ -371,12 +369,13 @@ FIRST_NAMED = [
     (lambda: nes.term.free_in(5, Var(x)), "not an atom: 5"),
     (lambda: nes.vswap(None, 5, x), "not an atom: None"),
     (lambda: Meta(5, "x", 6), "not a meta expression: 5"),
-    (lambda: Meta(Lit(Var(x)), "x", Lit(Var(x))), "not an atom: 'x'"),
+    (lambda: Meta(Var(x), "x", Var(x)), "not an atom: 'x'"),
     (lambda: nes.size(5), "not a term: 5"),
     (lambda: nes.render(5), "not a term: 5"),
     (lambda: nes.canonicalize(5), "not a term: 5"),
-    (lambda: nes.canonicalize(Lit(Var(x))),
-     "not a term: Lit(term=Var(atom=Atom('x')))"),
+    (lambda: nes.canonicalize(Meta(Var(x), y, Var(y))),
+     "not a term: Meta(target=Var(atom=Atom('x')), var=Atom('y'), "
+     "arg=Var(atom=Atom('y')))"),
     (lambda: nes.render_canonical(5), "not a canonical term: 5"),
 ]
 
@@ -396,7 +395,7 @@ def test_fresh_rejects_a_negative_mask():
 
 
 # eval_meta checks its root; Meta checks every operand below it
-@pytest.mark.parametrize("junk", [x, Var(x)])
+@pytest.mark.parametrize("junk", [x, BVar(0)])
 def test_eval_meta_names_a_wrong_root(junk):
     with pytest.raises(TypeError) as info:
         nes.eval_meta(junk)

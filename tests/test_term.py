@@ -106,24 +106,31 @@ def test_free_in_rejects_bad_input(junk):
 
 
 @pytest.mark.parametrize(
-    "call, message",
+    "call, error, message",
     [
-        (lambda: swap(x, x, 5), "not a term: 5"),
-        (lambda: swap(x, y, "junk"), "not a term: 'junk'"),
-        (lambda: swap(5, y, Var(x)), "not an atom: 5"),
-        (lambda: swap(x, None, Var(x)), "not an atom: None"),
-        (lambda: swap(Var(x), Var(x), Var(x)), "not an atom: Var"),
-        (lambda: permute({x: 5}, Var(x)), "not an atom: 5"),
-        (lambda: permute({5: x}, Var(x)), "not an atom: 5"),
-        (lambda: permute({z: "w"}, Var(x)), "not an atom: 'w'"),
-        (lambda: permute({}, None), "not a term: None"),
+        (lambda: swap(x, x, 5), TypeError, "not a term: 5"),
+        (lambda: swap(x, y, "junk"), TypeError, "not a term: 'junk'"),
+        (lambda: swap(5, y, Var(x)), TypeError, "not an atom: 5"),
+        (lambda: swap(x, None, Var(x)), TypeError, "not an atom: None"),
+        (lambda: swap(Var(x), Var(x), Var(x)), TypeError, "not an atom: Var"),
+        (lambda: permute({x: 5}, Var(x)), TypeError, "not an atom: 5"),
+        (lambda: permute({5: x}, Var(x)), TypeError, "not an atom: 5"),
+        (lambda: permute({z: "w"}, Var(x)), TypeError, "not an atom: 'w'"),
+        (lambda: permute({}, None), TypeError, "not a term: None"),
+        (lambda: permute(None, Var(x)), TypeError, "not a dict: None"),
+        (lambda: permute([(x, y), (y, x)], Var(x)), TypeError, "not a dict: "),
+        (lambda: permute({x: y}, Var(x)), ValueError, "not a permutation: "),
+        (lambda: permute({x: z, y: z}, Var(x)), ValueError, "not a permutation: "),
+        (lambda: permute({x: y, y: z}, Var(x)), ValueError, "not a permutation: "),
     ],
     ids=["swap-same-atoms-int-term", "swap-str-term", "swap-int-atom",
          "swap-none-atom", "swap-var-atoms", "permute-int-image",
-         "permute-int-key", "permute-unused-str-image", "permute-none-term"],
+         "permute-int-key", "permute-unused-str-image", "permute-none-term",
+         "permute-none-map", "permute-pair-list", "permute-into-a-fixed-atom",
+         "permute-two-onto-one", "permute-open-chain"],
 )
-def test_swap_and_permute_reject_bad_input(call, message):
-    with pytest.raises(TypeError, match=message):
+def test_swap_and_permute_reject_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
         call()
 
 
@@ -287,7 +294,7 @@ def test_every_node_keeps_masks_that_match_the_walks():
         for s in (
             t, swap(x, y, t), swap(y, z, t), permute({x: z, z: y, y: x}, t),
             msubst(t, u, x), msubst(t, Var(x), y),
-            parse(render(t)).term,
+            parse(render(t)),
             copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t)),
         ):
             _assert_masks_match_the_walks(s)
@@ -393,7 +400,7 @@ def test_walks_build_what_the_public_constructors_build():
     for t in universe:
         built += [
             swap(x, y, t), permute({x: z, z: y, y: x}, t),
-            msubst(t, u, x), msubst(t, Var(x), y), parse(render(t)).term,
+            msubst(t, u, x), msubst(t, Var(x), y), parse(render(t)),
         ]
     for t in built:
         twin = _rebuilt(t)
@@ -414,7 +421,7 @@ def test_nodes_built_by_walks_are_sealed():
     for t in universe:
         built += [
             swap(x, y, t), permute({x: z, z: y, y: x}, t), msubst(t, u, x),
-            msubst(t, Var(x), y), parse(render(t)).term, canonicalize(t),
+            msubst(t, Var(x), y), parse(render(t)), canonicalize(t),
         ]
     while built:
         node = built.pop()
